@@ -250,7 +250,7 @@ def _run_ktheory(args) -> tuple[dict, bool]:
     report = ktheory_mod.k_groups(
         ring, ring.fundamental(), k_0, args.L, family=args.family
     )
-    return report.to_dict(), report.stabilized
+    return report.to_dict(), report.k0_stabilized
 
 
 def _run_intertwiners(args) -> dict:

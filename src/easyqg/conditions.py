@@ -126,7 +126,8 @@ def check_c2(
             k_0 = t
             break
     if k_0 is None:
-        return FAILS, None, f"no k0 found up to level cap {level_cap}"
+        # the supports may still meet above the cap
+        return UNDETERMINED, None, f"no k0 found up to level cap {level_cap}"
     for n_pow in range(1, level_cap + 1 - k_0):
         if _mult_leq(ring.power(n_pow), ring.power(n_pow + k_0)):
             return HOLDS, (n_pow, k_0), ""

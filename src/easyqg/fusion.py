@@ -142,6 +142,10 @@ class FusionRing:
     def __init__(self):
         self._pair_cache: dict[tuple, dict] = {}
         self._power_cache: dict[tuple, list[dict]] = {}
+        # label -> least power of the fundamental containing it, complete
+        # for every label of degree <= _degree_swept
+        self._first_power: dict = {}
+        self._degree_swept = -1
 
     # subclass surface -------------------------------------------------
 
@@ -204,10 +208,20 @@ class FusionRing:
         return frozenset(self.power(exponent))
 
     def degree(self, label, level_cap: int = DEFAULT_LEVEL_CAP) -> int:
-        """Smallest power of the fundamental containing the label (BFS)."""
-        for ell in range(level_cap + 1):
-            if label in self.power(ell):
-                return ell
+        """Smallest power of the fundamental containing the label.
+
+        Answered from the first-appearance table, which the power sweep
+        extends one power at a time until the label shows up or the cap is
+        reached, so each power is scanned once per ring.
+        """
+        first = self._first_power
+        while label not in first and self._degree_swept < level_cap:
+            self._degree_swept += 1
+            for lab in self.power(self._degree_swept):
+                first.setdefault(lab, self._degree_swept)
+        found = first.get(label)
+        if found is not None and found <= level_cap:
+            return found
         raise NotReachable(
             f"{self.format_label(label)} not found in powers up to {level_cap}"
         )

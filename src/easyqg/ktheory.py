@@ -1,25 +1,38 @@
 """Exact integer linear algebra and the inductive-limit K-theory engine.
 
 The engine works over one fusion ring: with step element beta = u^(k_0) it
-builds the free modules R_ell on the supports of u^(ell * k_0) and the maps
+builds the free modules R_ell on the supports of u^(N + ell * k_0), from the
+least N >= 0 with supp u^N inside supp u^(N + k_0) on (where the levels
+nest), and the maps
 
     phi(a) = a (beta - 1)        psi(a) = a beta
 
 then reads K_1 off kernel ranks and K_0 off cokernels with the connecting
-maps induced by psi.  Cokernels come from Smith normal form; the full
-(U, D, V) form uses the classical algorithm with deterministic pivoting,
-while cokernels of the large sparse level matrices go through a unit-pivot
-sparse elimination with a dense fallback (same invariant factors, cross
-checked in the tests).
+maps induced by psi.  It runs in one pass: level boundaries come from the
+ring's degree table, each step multiplies its basis by beta once and takes
+phi = psi minus the inclusion, and an O(nnz) certificate that
+[phi | e_complement] is unitriangular settles kernels, cokernel and the
+connecting map.  Smith normal form is the fallback for a step the
+certificate does not cover: the full (U, D, V) form uses the classical
+algorithm with deterministic pivoting, while cokernels of the large sparse
+level matrices go through a unit-pivot sparse elimination with a dense
+fallback (same invariant factors, cross checked in the tests).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import ShapeMismatch, WrongFamily
-from .fusion import FusionRing, HWordRing, SO3Ring, SU2Ring, _add_scaled
+from .errors import NotReachable, ShapeMismatch, WrongFamily
+from .fusion import (
+    DEFAULT_LEVEL_CAP,
+    FusionRing,
+    HWordRing,
+    SO3Ring,
+    SU2Ring,
+    _add_scaled,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -424,17 +437,48 @@ def _leading_label(ring: FusionRing, label, k_0: int):
     raise WrongFamily(f"no leading-term rule for {type(ring).__name__}")
 
 
+def _grades(ring: FusionRing, labels, cap: int) -> dict:
+    """The order phi is triangular in: degree, then word length for words.
+
+    Degree alone is not enough for words: x + (1, 2) has the same degree as
+    the leading term x + (1, 1, 1) of phi(x), but it is shorter.
+    """
+    if isinstance(ring, HWordRing):
+        return {y: (ring.degree(y, cap), len(y)) for y in labels}
+    return {y: ring.degree(y, cap) for y in labels}
+
+
+def _start_power(ring: FusionRing, fundamental: dict, k_0: int) -> int:
+    """Least N >= 0 with supp u^N inside supp u^(N + k_0).
+
+    From N on the level supports nest, so every basis label of one level is
+    a basis label of the next and psi lands in the next level.
+    """
+    for n in range(DEFAULT_LEVEL_CAP + 1):
+        here = ring.vector_power(fundamental, n)
+        if here.keys() <= ring.vector_power(fundamental, n + k_0).keys():
+            return n
+    raise NotReachable(
+        f"u^N is not contained in u^(N+{k_0}) for any N <= {DEFAULT_LEVEL_CAP}"
+    )
+
+
 def build_levels(
     ring: FusionRing, fundamental: dict, k_0: int, levels: int
 ) -> list[LevelModule]:
-    """R_0, R_{k_0}, ..., R_{levels * k_0} with bases sorted by (degree, label)."""
+    """R_N, R_(N+k_0), ..., R_(N+levels*k_0) with bases sorted by (degree, label).
+
+    N is the least power from which the supports nest; the boundary of a
+    level is its labels of degree exactly its power.
+    """
     if k_0 < 1:
         raise ValueError("k_0 must be >= 1")
     if levels < 0:
         raise ValueError("levels must be >= 0")
+    start = _start_power(ring, fundamental, k_0)
     out = []
     for ell in range(levels + 1):
-        power = ell * k_0
+        power = start + ell * k_0
         vec = ring.vector_power(fundamental, power)
         basis = tuple(sorted(vec, key=ring.sort_key))
         boundary = tuple(
@@ -444,38 +488,100 @@ def build_levels(
     return out
 
 
-def _step_columns(
-    ring: FusionRing,
-    src: LevelModule,
-    dst: LevelModule,
-    beta: dict,
-    subtract_identity: bool,
-) -> list[dict[int, int]]:
+def psi_columns(ring: FusionRing, basis, beta: dict) -> dict:
+    """psi(x) = x beta for every basis label x, as fusion vectors.
+
+    phi(x) = psi(x) - x, so these columns carry both maps of a step.
+    """
+    return {x: ring.multiply({x: 1}, beta) for x in basis}
+
+
+def _unitriangular(ring: FusionRing, k_0: int, psi: dict, grade: dict) -> bool:
+    """Certificate that [phi | e_complement] is unitriangular, in O(nnz).
+
+    It holds when every phi(x) has coefficient 1 at its leading label, the
+    leading labels are distinct, and each is the strict maximum of its
+    column, x included, under ``grade``.  Ordering the destination labels
+    by grade then makes phi, psi and [phi | e_complement] triangular with
+    unit pivots, so ker phi = ker psi = 0, coker phi is free on the
+    complement of the leading labels, and psi induces the identity on the
+    persisting classes.
+    """
+    leads = set()
+    for x, col in psi.items():
+        lead = _leading_label(ring, x, k_0)
+        # lead != x once grade[x] < top, so phi and psi agree at lead
+        if col.get(lead) != 1 or lead in leads:
+            return False
+        top = grade[lead]
+        if not grade[x] < top:
+            return False
+        for y in col:
+            if y != lead and not grade[y] < top:
+                return False
+        leads.add(lead)
+    return True
+
+
+def _snf_step(
+    ring: FusionRing, k_0: int, src: LevelModule, dst: LevelModule, psi: dict
+) -> "StepReport":
+    """One step read off Smith normal forms of phi, psi and [phi | e_complement]."""
     pos = {label: i for i, label in enumerate(dst.basis)}
-    columns = []
-    for x in src.basis:
-        vec = dict(ring.multiply({x: 1}, beta))
-        if subtract_identity:
-            _add_scaled(vec, {x: 1}, -1)
-        columns.append({pos[label]: mult for label, mult in vec.items()})
-    return columns
-
-
-def _columns_to_entries(columns: list[dict[int, int]]) -> dict[tuple[int, int], int]:
-    return {
-        (r, j): v for j, col in enumerate(columns) for r, v in col.items()
+    psi_entries = {
+        (pos[y], j): mult
+        for j, x in enumerate(src.basis)
+        for y, mult in psi[x].items()
     }
+    phi_entries = dict(psi_entries)
+    for j, x in enumerate(src.basis):
+        key = (pos[x], j)
+        value = phi_entries.get(key, 0) - 1
+        if value:
+            phi_entries[key] = value
+        else:
+            del phi_entries[key]
 
-
-def phi_matrix(ring: FusionRing, src: LevelModule, dst: LevelModule, beta: dict) -> IntMatrix:
-    return IntMatrix.from_columns(
-        len(dst.basis), _step_columns(ring, src, dst, beta, True)
+    factors_phi = invariant_factors(phi_entries)
+    factors_psi = invariant_factors(psi_entries)
+    coker = FGAbelianGroup(
+        len(dst.basis) - len(factors_phi),
+        tuple(d for d in factors_phi if d > 1),
     )
 
-
-def psi_matrix(ring: FusionRing, src: LevelModule, dst: LevelModule, beta: dict) -> IntMatrix:
-    return IntMatrix.from_columns(
-        len(dst.basis), _step_columns(ring, src, dst, beta, False)
+    # complement basis: destination labels that are not leading terms
+    leading = {}
+    injective = True
+    for j, x in enumerate(src.basis):
+        lead = _leading_label(ring, x, k_0)
+        if lead in leading or lead not in pos or phi_entries.get((pos[lead], j)) != 1:
+            injective = False
+            break
+        leading[lead] = x
+    complement = [x for x in dst.basis if x not in leading]
+    identity_connecting = False
+    matches = False
+    if injective:
+        matches = coker.free_rank == len(complement) and not coker.torsion
+        if len(src.basis) + len(complement) == len(dst.basis):
+            square = dict(phi_entries)
+            for i, c in enumerate(complement, start=len(src.basis)):
+                square[pos[c], i] = 1
+            factors_sq = invariant_factors(square)
+            identity_connecting = (
+                len(factors_sq) == len(dst.basis)
+                and all(d == 1 for d in factors_sq)
+                and matches
+            )
+    return StepReport(
+        src.level,
+        dst.level,
+        len(src.basis) - len(factors_phi),
+        len(src.basis) - len(factors_psi),
+        coker,
+        len(complement),
+        matches,
+        identity_connecting,
     )
 
 
@@ -483,20 +589,7 @@ def check_diagram_commutes(
     ring: FusionRing, fundamental: dict, k_0: int, levels: int
 ) -> bool:
     """psi after phi equals phi after psi on every consecutive level pair."""
-    mods = build_levels(ring, fundamental, k_0, levels)
-    beta = ring.vector_power(fundamental, k_0)
-    for ell in range(len(mods) - 2):
-        src = mods[ell]
-        for x in src.basis:
-            phi_x = dict(ring.multiply({x: 1}, beta))
-            _add_scaled(phi_x, {x: 1}, -1)
-            psi_x = ring.multiply({x: 1}, beta)
-            lhs = ring.multiply(phi_x, beta)  # psi(phi(x))
-            rhs = dict(ring.multiply(psi_x, beta))
-            _add_scaled(rhs, psi_x, -1)  # phi(psi(x))
-            if lhs != rhs:
-                return False
-    return True
+    return k_groups(ring, fundamental, k_0, levels).diagram_commutes
 
 
 @dataclass
@@ -533,11 +626,6 @@ class InductiveLimitReport:
     k0_stabilized: bool
     k0: FGAbelianGroup | None
     unit_class: object
-    label_formatter: object = field(repr=False, default=None)
-
-    @property
-    def stabilized(self) -> bool:
-        return self.k0_stabilized
 
     def to_dict(self) -> dict:
         per_level = []
@@ -579,7 +667,7 @@ def k_groups(
     levels: int,
     family: str = "",
 ) -> InductiveLimitReport:
-    """Run the inductive system up to R_{levels * k_0} and collect K-data.
+    """Run the inductive system up to R_(N + levels * k_0) and collect K-data.
 
     K_1 is the (stable) kernel rank of the phi maps; K_0 stabilizes when
     two consecutive cokernels agree and the connecting maps act as the
@@ -590,67 +678,25 @@ def k_groups(
         raise ValueError("need at least one level step")
     mods = build_levels(ring, fundamental, k_0, levels)
     beta = ring.vector_power(fundamental, k_0)
+    grade = _grades(ring, mods[-1].basis, mods[-1].power)
     steps: list[StepReport] = []
-    for ell in range(levels):
-        src, dst = mods[ell], mods[ell + 1]
-        phi_cols = _step_columns(ring, src, dst, beta, True)
-        psi_cols = _step_columns(ring, src, dst, beta, False)
-        pos = {label: i for i, label in enumerate(dst.basis)}
-        # psi = phi + inclusion, entrywise (this is [psi(a)] = [a] in coker)
-        for x, pc, sc in zip(src.basis, phi_cols, psi_cols):
-            expected = dict(pc)
-            expected[pos[x]] = expected.get(pos[x], 0) + 1
-            assert {k: v for k, v in expected.items() if v} == sc
-
-        factors_phi = invariant_factors(_columns_to_entries(phi_cols))
-        ker_phi = len(src.basis) - len(factors_phi)
-        factors_psi = invariant_factors(_columns_to_entries(psi_cols))
-        ker_psi = len(src.basis) - len(factors_psi)
-        coker = FGAbelianGroup(
-            len(dst.basis) - len(factors_phi),
-            tuple(d for d in factors_phi if d > 1),
+    # with phi = psi - inclusion, psi o phi = phi o psi says that psi(x) is
+    # the same vector at consecutive levels
+    commutes = True
+    previous: dict = {}
+    for src, dst in zip(mods, mods[1:]):
+        psi = psi_columns(ring, src.basis, beta)
+        commutes = commutes and all(
+            psi.get(x) == vec for x, vec in previous.items()
         )
-
-        # complement basis: destination labels that are not leading terms
-        leading = {}
-        injective = True
-        for x, col in zip(src.basis, phi_cols):
-            lead = _leading_label(ring, x, k_0)
-            if lead in leading or lead not in pos or col.get(pos[lead]) != 1:
-                injective = False
-                break
-            leading[lead] = x
-        complement = [x for x in dst.basis if x not in leading]
-        identity_connecting = False
-        matches = False
-        if injective:
-            matches = (
-                coker.free_rank == len(complement) and not coker.torsion
-            )
-            square_cols = list(phi_cols) + [
-                {pos[c]: 1} for c in complement
-            ]
-            if len(square_cols) == len(dst.basis):
-                factors_sq = invariant_factors(_columns_to_entries(square_cols))
-                identity_connecting = (
-                    len(factors_sq) == len(dst.basis)
-                    and all(d == 1 for d in factors_sq)
-                    and matches
-                )
-        steps.append(
-            StepReport(
-                ell,
-                ell + 1,
-                ker_phi,
-                ker_psi,
-                coker,
-                len(complement),
-                matches,
-                identity_connecting,
-            )
-        )
-
-    commutes = check_diagram_commutes(ring, fundamental, k_0, levels)
+        if _unitriangular(ring, k_0, psi, grade):
+            free = len(dst.basis) - len(src.basis)
+            steps.append(StepReport(
+                src.level, dst.level, 0, 0, FGAbelianGroup(free), free, True, True
+            ))
+        else:
+            steps.append(_snf_step(ring, k_0, src, dst, psi))
+        previous = psi
 
     k1 = 0 if all(s.ker_rank_phi == 0 and s.ker_rank_psi == 0 for s in steps) else None
     if k1 is None:
@@ -686,7 +732,6 @@ def k_groups(
         k0_stabilized=stabilized,
         k0=k0,
         unit_class=unit_class,
-        label_formatter=ring.format_label,
     )
 
 

@@ -125,6 +125,45 @@ def test_ktheory_h_family(capsys):
     )
 
 
+def test_ktheory_h_family_s1_is_s_plus(capsys):
+    payload = run_json(
+        capsys, "ktheory", "--family", "H+", "--s", "1", "--L", "3"
+    )
+    assert payload["K0"] == {"rank": 1, "torsion": []}
+    assert payload["K0_stabilized"] is True
+    assert payload["unit_class"] == 1
+    assert payload["K1"] == 0
+
+
+def test_conditions_level_cap_cuts_gap_search(capsys):
+    payload = run_json(
+        capsys, "conditions", "--family", "O+", "--level-cap", "1"
+    )
+    assert payload["C2"]["status"] == "undetermined"
+    assert payload["C2"]["witness"] is None
+    assert payload["consistent"] is True
+
+
+def test_python_dash_m_matches_main(capsys):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    argv = ["ktheory", "--family", "O+", "--L", "2"]
+    code, expected, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "easyqg", *argv],
+        capture_output=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected.encode()
+
+
 def test_ktheory_strict_exit_4(capsys):
     code, _, _ = run(
         capsys, "ktheory", "--family", "H+", "--s", "2", "--L", "3", "--strict"

@@ -20,7 +20,7 @@ from easyqg import (
     k_param,
     parse_partition,
 )
-from easyqg.conditions import FAILS, HOLDS
+from easyqg.conditions import FAILS, HOLDS, UNDETERMINED
 
 
 def test_check_c1_witnesses():
@@ -63,6 +63,16 @@ def test_check_c2_witness_recheckable():
     for t in range(1, k_0):
         for ell in range(8):
             assert not (ring.support(ell) & ring.support(ell + t))
+
+
+def test_check_c2_capped_gap_search_undetermined():
+    # O+ has k0 = 2; at level cap 1 the supports never get the chance to meet
+    status, witness, note = check_c2(get_ring("O+"), 1)
+    assert (status, witness) == (UNDETERMINED, None)
+    assert "level cap 1" in note
+    report = evaluate_conditions("O+", level_cap=1)
+    assert report.c2_status == UNDETERMINED
+    assert report.consistent
 
 
 def test_u_plus_proxy_fails():

@@ -125,6 +125,9 @@ def test_degree_examples():
     assert degree(su2, 4) == 4
     with pytest.raises(NotReachable):
         degree(su2, 5, level_cap=3)
+    # a degree already in the table still answers to the cap
+    with pytest.raises(NotReachable):
+        degree(su2, 4, level_cap=3)
 
 
 def test_degree_bfs_equals_letter_sum_smoke():

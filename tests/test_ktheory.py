@@ -21,7 +21,8 @@ from easyqg import (
     smith_normal_form,
 )
 from easyqg.errors import WrongFamily
-from easyqg.ktheory import phi_matrix, psi_matrix
+from easyqg.fusion import SU2Ring, _add_scaled
+from easyqg.ktheory import _leading_label, psi_columns
 
 import helpers
 
@@ -30,6 +31,29 @@ def random_matrix(rng: Random, rows: int, cols: int, bound: int = 20) -> IntMatr
     return IntMatrix(
         [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
     )
+
+
+def step_matrices(ring, src, dst, beta) -> tuple[IntMatrix, IntMatrix]:
+    """phi from its definition a(beta - 1), psi from the engine's columns."""
+    pos = {label: i for i, label in enumerate(dst.basis)}
+    beta_minus_one = dict(beta)
+    _add_scaled(beta_minus_one, {ring.trivial(): 1}, -1)
+    phi = [
+        {pos[y]: m for y, m in ring.multiply({x: 1}, beta_minus_one).items()}
+        for x in src.basis
+    ]
+    psi = [
+        {pos[y]: m for y, m in col.items()}
+        for col in psi_columns(ring, src.basis, beta).values()
+    ]
+    rows = len(dst.basis)
+    return IntMatrix.from_columns(rows, phi), IntMatrix.from_columns(rows, psi)
+
+
+def entries(m: IntMatrix) -> dict[tuple[int, int], int]:
+    return {
+        (i, j): v for i, row in enumerate(m.data) for j, v in enumerate(row) if v
+    }
 
 
 # -- Smith normal form ----------------------------------------------------------
@@ -116,7 +140,7 @@ def test_cokernel_and_kernel_examples():
     # level-one map for O+: u_0 -> u_2 inside {u_0, u_2}
     su2 = get_ring("O+")
     levels = build_levels(su2, su2.fundamental(), 2, 1)
-    phi = phi_matrix(su2, levels[0], levels[1], su2.power(2))
+    phi, _ = step_matrices(su2, levels[0], levels[1], su2.power(2))
     assert phi.data == [[0], [1]]
     assert cokernel(phi) == FGAbelianGroup(1)
     assert kernel_rank(phi) == 0
@@ -172,8 +196,7 @@ def test_psi_equals_phi_plus_inclusion():
     beta = h2.power(2)
     for ell in range(2):
         src, dst = levels[ell], levels[ell + 1]
-        phi = phi_matrix(h2, src, dst, beta)
-        psi = psi_matrix(h2, src, dst, beta)
+        phi, psi = step_matrices(h2, src, dst, beta)
         pos = {label: i for i, label in enumerate(dst.basis)}
         for j, label in enumerate(src.basis):
             for i in range(len(dst.basis)):
@@ -193,6 +216,91 @@ def test_k_groups_o_plus():
     assert report.unit_class == 1
     assert report.diagram_commutes
     assert all(s.identity_on_persisting for s in report.steps)
+
+
+def snf_step_oracle(ring, k_0, src, dst, beta) -> dict:
+    """Step data from invariant factors of phi, psi and [phi | e_complement]."""
+    phi, psi = step_matrices(ring, src, dst, beta)
+    factors_phi = invariant_factors(entries(phi))
+    factors_psi = invariant_factors(entries(psi))
+    coker = FGAbelianGroup(
+        phi.rows - len(factors_phi), tuple(d for d in factors_phi if d > 1)
+    )
+    leads = {_leading_label(ring, x, k_0) for x in src.basis}
+    complement = [y for y in dst.basis if y not in leads]
+    pos = {label: i for i, label in enumerate(dst.basis)}
+    square = entries(phi)
+    for i, c in enumerate(complement, start=phi.cols):
+        square[pos[c], i] = 1
+    factors_sq = invariant_factors(square)
+    unimodular = (
+        len(leads) == phi.cols
+        and phi.cols + len(complement) == phi.rows == len(factors_sq)
+        and all(d == 1 for d in factors_sq)
+    )
+    matches = coker == FGAbelianGroup(len(complement))
+    return {
+        "ker_rank_phi": phi.cols - len(factors_phi),
+        "ker_rank_psi": psi.cols - len(factors_psi),
+        "coker": coker,
+        "complement_labels": len(complement),
+        "coker_rank_matches_complement": matches,
+        "identity_on_persisting": unimodular and matches,
+    }
+
+
+@pytest.mark.parametrize(
+    "family,s,k_0,levels",
+    [("O+", None, 2, 8), ("S+", None, 1, 8), ("H+", 1, 1, 3), ("H+", 2, 2, 3),
+     ("H+", 3, 3, 3), ("H+", 4, 4, 3)],
+)
+def test_engine_matches_snf_oracle(family, s, k_0, levels):
+    ring = get_ring(family, s)
+    report = k_groups(ring, ring.fundamental(), k_0, levels, family=family)
+    beta = ring.power(k_0)
+    assert len(report.steps) == levels
+    for step, src, dst in zip(report.steps, report.levels, report.levels[1:]):
+        oracle = snf_step_oracle(ring, k_0, src, dst, beta)
+        got = {name: getattr(step, name) for name in oracle}
+        assert got == oracle
+
+
+class DoubledTopLadder(SU2Ring):
+    """The SU(2) ladder with the top term of every product doubled."""
+
+    def _pair(self, a: int, b: int) -> dict:
+        out = super()._pair(a, b)
+        if a and b:
+            out[a + b] = 2
+        return out
+
+
+def test_engine_falls_back_to_snf():
+    # phi(u_0) = u_0 (u_0 + 2 u_2) - u_0 = 2 u_2: lead coefficient 2
+    ring = DoubledTopLadder()
+    report = k_groups(ring, ring.fundamental(), 2, 2)
+    beta = ring.power(2)
+    assert report.steps[0].coker == FGAbelianGroup(1, (2,))
+    assert not report.steps[0].identity_on_persisting
+    for step, src, dst in zip(report.steps, report.levels, report.levels[1:]):
+        oracle = snf_step_oracle(ring, 2, src, dst, beta)
+        assert step.coker == oracle["coker"]
+        assert step.ker_rank_phi == oracle["ker_rank_phi"]
+        assert step.ker_rank_psi == oracle["ker_rank_psi"]
+    assert not report.k0_stabilized
+
+
+def test_k_groups_h1_starts_where_levels_nest():
+    # u^0 is not inside u^1 at s = 1, so the levels start at N = 1
+    h1 = get_ring("H+", 1)
+    report = k_groups(h1, h1.fundamental(), 1, 3, family="H+")
+    assert [m.power for m in report.levels] == [1, 2, 3, 4]
+    for low, high in zip(report.levels, report.levels[1:]):
+        assert set(low.basis) <= set(high.basis)
+    assert report.k0 == FGAbelianGroup(1) and report.k0_stabilized
+    assert report.k1_rank == 0 and report.unit_class == 1
+    su2 = get_ring("O+")
+    assert k_groups(su2, su2.fundamental(), 2, 2).levels[0].power == 0
 
 
 def test_k_groups_s_plus_matches_o_plus():
@@ -239,14 +347,8 @@ def test_level_cokernel_against_minor_gcd_oracle():
     levels = build_levels(h2, h2.fundamental(), 2, 2)
     beta = h2.power(2)
     for ell in range(2):
-        phi = phi_matrix(h2, levels[ell], levels[ell + 1], beta)
-        entries = {
-            (i, j): v
-            for i, row in enumerate(phi.data)
-            for j, v in enumerate(row)
-            if v
-        }
-        factors = invariant_factors(entries)
+        phi, _ = step_matrices(h2, levels[ell], levels[ell + 1], beta)
+        factors = invariant_factors(entries(phi))
         divisors = helpers.determinantal_divisors(phi.data)
         running = 1
         for k, dk in enumerate(divisors):
