@@ -44,18 +44,8 @@ from .fusion import (
     HWordRing,
     SO3Ring,
     SU2Ring,
-    Word,
     chain_group_order,
-    degree,
-    dim,
     get_ring,
-    h_decompose,
-    length,
-    power_decompose,
-    so3_decompose,
-    su2_decompose,
-    word_fusion,
-    word_involution,
 )
 from .ktheory import (
     FGAbelianGroup,
@@ -65,10 +55,8 @@ from .ktheory import (
     bareiss_determinant,
     build_levels,
     check_diagram_commutes,
-    cokernel,
     invariant_factors,
     k_groups,
-    kernel_rank,
     phi_structure_check,
     smith_normal_form,
 )

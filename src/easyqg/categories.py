@@ -38,6 +38,7 @@ from .partitions import (
     ColoredPartition,
     b_block,
     block_color_sum,
+    color_counts,
     compose,
     four_block_wwbb,
     involute,
@@ -200,54 +201,30 @@ def generate_category(
 
 @lru_cache(maxsize=None)
 def _nc_structures(m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """All noncrossing set partitions of positions 0..m-1 (linear order)."""
-    if m == 0:
-        return ((),)
+    """All noncrossing set partitions of positions 0..m-1 (linear order).
+
+    Generated directly as restricted-growth strings in lexicographic order,
+    blocks listed by first position.  ``open_blocks`` holds the blocks that
+    may still grow, oldest first: position ``pos`` joins one of them, which
+    closes every block opened after it, or opens a new block.
+    """
     result = []
-    labels = [0] * m
+    blocks: list[list[int]] = []
 
-    def emit() -> None:
-        blocks: dict[int, list[int]] = {}
-        for pos, lab in enumerate(labels):
-            blocks.setdefault(lab, []).append(pos)
-        struct = tuple(tuple(b) for b in blocks.values())
-        if _linear_noncrossing(struct):
-            result.append(struct)
-
-    def grow(pos: int, top: int) -> None:
+    def grow(pos: int, open_blocks: tuple[int, ...]) -> None:
         if pos == m:
-            emit()
+            result.append(tuple(tuple(b) for b in blocks))
             return
-        for lab in range(top + 2):
-            labels[pos] = lab
-            grow(pos + 1, max(top, lab))
+        for depth, lab in enumerate(open_blocks):
+            blocks[lab].append(pos)
+            grow(pos + 1, open_blocks[: depth + 1])
+            blocks[lab].pop()
+        blocks.append([pos])
+        grow(pos + 1, open_blocks + (len(blocks) - 1,))
+        blocks.pop()
 
-    grow(1, 0)
+    grow(0, ())
     return tuple(result)
-
-
-def _linear_noncrossing(blocks: tuple[tuple[int, ...], ...]) -> bool:
-    opened: set[int] = set()
-    stack: list[int] = []
-    block_of = {}
-    remaining = {}
-    for idx, b in enumerate(blocks):
-        remaining[idx] = len(b)
-        for x in b:
-            block_of[x] = idx
-    for pos in sorted(block_of):
-        b = block_of[pos]
-        if stack and stack[-1] == b:
-            pass
-        elif b in opened:
-            return False
-        else:
-            stack.append(b)
-            opened.add(b)
-        remaining[b] -= 1
-        if remaining[b] == 0:
-            stack.pop()
-    return True
 
 
 def _block_sign(point: int, k: int) -> int:
@@ -396,12 +373,7 @@ def k_param(sample: PartitionCategorySample) -> int:
         return cached
     g = 0
     for p in sample.iter_members():
-        c = (
-            sum(1 for c_ in p.lower_colors if c_ == WHITE)
-            - sum(1 for c_ in p.lower_colors if c_ == BLACK)
-            + sum(1 for c_ in p.upper_colors if c_ == BLACK)
-            - sum(1 for c_ in p.upper_colors if c_ == WHITE)
-        )
+        c = color_counts(p)[2]
         if c:
             g = math.gcd(g, abs(c))
             if g == 1:

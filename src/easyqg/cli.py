@@ -54,6 +54,25 @@ def _add_family(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--s", type=int, default=None, help="s for H+")
 
 
+# least accepted value of each count option, keyed by argparse dest
+_COUNT_MINIMA = {
+    "k": 0,
+    "l": 0,
+    "n": 1,
+    "L": 1,
+    "level_cap": 0,
+    "degree_cap": 0,
+    "max_points": 2,
+}
+
+
+def _check_counts(args) -> None:
+    for dest, least in _COUNT_MINIMA.items():
+        value = getattr(args, dest, None)
+        if value is not None and value < least:
+            raise ParseError(f"--{dest.replace('_', '-')} must be >= {least}")
+
+
 def _require_s(args) -> int | None:
     if args.family == "H+":
         if args.s is None or args.s < 1:
@@ -212,8 +231,6 @@ def _run_fusion(args) -> dict:
         b = ring.parse_label(args.labels[1])
         return fusion_mod.format_vector(ring, ring.decompose(a, b))
     if args.action == "power":
-        if args.l < 0:
-            raise ParseError("--l must be >= 0")
         return fusion_mod.format_vector(ring, ring.power(args.l))
     if args.action == "degree":
         label = ring.parse_label(args.label)
@@ -240,8 +257,6 @@ def _run_conditions(args) -> dict:
 
 def _run_ktheory(args) -> tuple[dict, bool]:
     s = _require_s(args)
-    if args.L < 1:
-        raise ParseError("--L must be >= 1")
     ring = fusion_mod.get_ring(args.family, s)
     _, witness, note = conditions_mod.check_c2(ring, level_cap=10)
     if witness is None:
@@ -271,6 +286,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_counts(args)
         if args.command == "partition":
             payload = _run_partition(args)
         elif args.command == "category":

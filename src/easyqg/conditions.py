@@ -211,8 +211,6 @@ def classify_cp(sample: PartitionCategorySample) -> dict:
     if witness is not None:
         result["cp2"] = HOLDS
         result["cp2_witness"] = to_literal(witness[0])
-        result["cp2_N"] = witness[1]
-        result["cp2_k0"] = k
     else:
         result["cp2"] = UNDETERMINED
     return result

@@ -20,7 +20,7 @@ the associativity tests pin that reading down.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+
 from .errors import (
     InconsistentDimension,
     ModulusMismatch,
@@ -38,11 +38,6 @@ DEFAULT_LEVEL_CAP = 32
 # ---------------------------------------------------------------------------
 
 
-def _check_letters(letters: tuple[int, ...], s: int) -> None:
-    if any(not 1 <= x <= s for x in letters):
-        raise ValueError(f"letters must lie in 1..{s}: {letters}")
-
-
 def _involution(letters: tuple[int, ...], s: int) -> tuple[int, ...]:
     return tuple((-x) % s or s for x in reversed(letters))
 
@@ -57,58 +52,23 @@ def _fusion(a: tuple[int, ...], b: tuple[int, ...], s: int):
 def _pair_product(
     x: tuple[int, ...], y: tuple[int, ...], s: int
 ) -> dict[tuple[int, ...], int]:
-    """r_x tensor r_y expanded over all cancelable splittings."""
+    """r_x tensor r_y expanded over all cancelable splittings.
+
+    The splittings x = vz, y = z~ w are taken by t = len(z) ascending.  The
+    z of length t cancels exactly when the one of length t - 1 does and
+    y[t-1] is the negative of x[-t], so the first mismatch ends the search.
+    """
     out: dict[tuple[int, ...], int] = {}
-    for cut in range(len(x), -1, -1):
-        v, z = x[:cut], x[cut:]
-        zbar = _involution(z, s)
-        if y[: len(z)] != zbar:
-            continue
-        w = y[len(z):]
+    for t in range(min(len(x), len(y)) + 1):
+        if t and y[t - 1] != ((-x[-t]) % s or s):
+            break
+        v, w = x[: len(x) - t], y[t:]
         concat = v + w
         out[concat] = out.get(concat, 0) + 1
         fused = _fusion(v, w, s)
         if fused is not None:
             out[fused] = out.get(fused, 0) + 1
     return out
-
-
-@dataclass(frozen=True)
-class Word:
-    """A word over Z/sZ with letters written in {1, ..., s}."""
-
-    letters: tuple[int, ...]
-    modulus: int
-
-    def __post_init__(self):
-        if self.modulus < 1:
-            raise ValueError("modulus must be >= 1")
-        _check_letters(self.letters, self.modulus)
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __str__(self) -> str:
-        return f"r[{','.join(map(str, self.letters))}]@{self.modulus}"
-
-
-def word_involution(w: Word) -> Word:
-    return Word(_involution(w.letters, w.modulus), w.modulus)
-
-
-def word_fusion(a: Word, b: Word) -> Word | None:
-    """The fused word, or None when either factor is empty."""
-    if a.modulus != b.modulus:
-        raise ModulusMismatch(f"moduli differ: {a.modulus} vs {b.modulus}")
-    fused = _fusion(a.letters, b.letters, a.modulus)
-    return None if fused is None else Word(fused, a.modulus)
-
-
-def h_decompose(x: Word, y: Word) -> dict[Word, int]:
-    if x.modulus != y.modulus:
-        raise ModulusMismatch(f"moduli differ: {x.modulus} vs {y.modulus}")
-    raw = _pair_product(x.letters, y.letters, x.modulus)
-    return {Word(k, x.modulus): v for k, v in raw.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -365,9 +325,6 @@ class HWordRing(FusionRing):
     def sort_key(self, label: tuple):
         return (sum(label), label)
 
-    def letter_sum(self, label: tuple) -> int:
-        return sum(label)
-
     def format_label(self, label: tuple) -> str:
         return f"r[{','.join(map(str, label))}]@{self.s}"
 
@@ -381,10 +338,8 @@ class HWordRing(FusionRing):
             )
         body = m.group(1).strip()
         letters = tuple(int(x) for x in body.split(",")) if body else ()
-        try:
-            _check_letters(letters, self.s)
-        except ValueError as exc:
-            raise ParseError(str(exc)) from exc
+        if any(not 1 <= x <= self.s for x in letters):
+            raise ParseError(f"letters must lie in 1..{self.s}: {letters}")
         return letters
 
     def dim(self, label: tuple, n: int) -> int:
@@ -437,43 +392,6 @@ def get_ring(family: str, s: int | None = None) -> FusionRing:
             raise WrongFamily(f"no fusion ring shipped for family {family!r}")
         _RING_CACHE[key] = ring
     return ring
-
-
-# ---------------------------------------------------------------------------
-# Spec-level operation wrappers.
-# ---------------------------------------------------------------------------
-
-
-def su2_decompose(k: int, l: int) -> dict[int, int]:
-    if k < 0 or l < 0:
-        raise ValueError("labels must be >= 0")
-    return dict(get_ring("su2").decompose(k, l))
-
-
-def so3_decompose(a: int, b: int) -> dict[int, int]:
-    if a < 0 or b < 0:
-        raise ValueError("labels must be >= 0")
-    SO3Ring._check_even(a)
-    SO3Ring._check_even(b)
-    return dict(get_ring("so3").decompose(a, b))
-
-
-def power_decompose(ring: FusionRing, generator: dict, exponent: int) -> dict:
-    return ring.vector_power(generator, exponent)
-
-
-def degree(ring: FusionRing, label, level_cap: int = DEFAULT_LEVEL_CAP) -> int:
-    return ring.degree(label, level_cap)
-
-
-def length(ring: FusionRing, label) -> int:
-    if not isinstance(ring, HWordRing):
-        raise WrongFamily("length is defined for the word family only")
-    return len(label)
-
-
-def dim(ring: FusionRing, label, n: int) -> int:
-    return ring.dim(label, n)
 
 
 def chain_group_order(ring: FusionRing, level_cap: int = 10) -> int:

@@ -11,7 +11,7 @@ then reads K_1 off kernel ranks and K_0 off cokernels with the connecting
 maps induced by psi.  It runs in one pass: level boundaries come from the
 ring's degree table, each step multiplies its basis by beta once and takes
 phi = psi minus the inclusion, and an O(nnz) certificate that
-[phi | e_complement] is unitriangular settles kernels, cokernel and the
+[phi | e_complement] is unitriangular settles kernels, cokernels and the
 connecting map.  Smith normal form is the fallback for a step the
 certificate does not cover: the full (U, D, V) form uses the classical
 algorithm with deterministic pivoting, while cokernels of the large sparse
@@ -366,15 +366,6 @@ def invariant_factors(entries: dict[tuple[int, int], int]) -> list[int]:
     return [1] * units + tail
 
 
-def _entries_from_matrix(m: IntMatrix) -> dict[tuple[int, int], int]:
-    return {
-        (i, j): v
-        for i, row in enumerate(m.data)
-        for j, v in enumerate(row)
-        if v
-    }
-
-
 @dataclass(frozen=True)
 class FGAbelianGroup:
     """Z^free_rank plus cyclic factors in a divisibility chain."""
@@ -402,15 +393,6 @@ class FGAbelianGroup:
 
     def to_dict(self) -> dict:
         return {"rank": self.free_rank, "torsion": list(self.torsion)}
-
-
-def cokernel(m: IntMatrix) -> FGAbelianGroup:
-    factors = invariant_factors(_entries_from_matrix(m))
-    return FGAbelianGroup(m.rows - len(factors), tuple(d for d in factors if d > 1))
-
-
-def kernel_rank(m: IntMatrix) -> int:
-    return m.cols - len(invariant_factors(_entries_from_matrix(m)))
 
 
 # ---------------------------------------------------------------------------
@@ -754,8 +736,3 @@ def phi_structure_check(ring: FusionRing, word: tuple) -> bool:
         return False
     return True
 
-
-def boundary_counts(ring: FusionRing, fundamental: dict, k_0: int, levels: int) -> list[int]:
-    """Number of degree-exactly-(ell * k_0) labels for each computed level."""
-    mods = build_levels(ring, fundamental, k_0, levels)
-    return [len(m.boundary_basis) for m in mods]

@@ -11,7 +11,6 @@ The colors of a partition never enter T_p; only the block structure does.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, field
@@ -22,7 +21,6 @@ from .errors import (
     IndexOutOfRange,
     MissingSubprojectives,
     NotProjective,
-    ParseError,
     ShapeMismatch,
     SizeOverflow,
 )
@@ -163,28 +161,6 @@ class ExactMatrix:
 
     def flatten(self) -> dict[int, object]:
         return {r * self.cols + c: v for (r, c), v in self.entries.items()}
-
-    # -- serialization ----------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        entries = [
-            [r, c, str(Fraction(v))]
-            for (r, c), v in sorted(self.entries.items())
-        ]
-        return {"rows": self.rows, "cols": self.cols, "entries": entries}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ExactMatrix":
-        try:
-            entries = {
-                (int(r), int(c)): Fraction(v) for r, c, v in data["entries"]
-            }
-            return cls(int(data["rows"]), int(data["cols"]), entries)
-        except (KeyError, ValueError, TypeError) as exc:
-            raise ParseError(f"bad matrix payload: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import itertools
 from fractions import Fraction
 from random import Random
 
-from easyqg import ColoredPartition, WHITE, BLACK, family_category
+from easyqg import ColoredPartition, WHITE, BLACK, family_category, is_noncrossing
 
 
 def random_partition(rng: Random, max_points: int = 8) -> ColoredPartition:
@@ -38,6 +38,30 @@ def all_nc_structures(max_points: int) -> list[ColoredPartition]:
     """All all-white noncrossing partitions with at most max_points points."""
     sample = family_category("S+", max_points)
     return sorted(sample.iter_members(all_white=True))
+
+
+def nc_structures_oracle(m: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Noncrossing set partitions of positions 0..m-1, in the order of
+    ``categories._nc_structures``: every restricted-growth string in
+    lexicographic order, kept when ``is_noncrossing`` accepts it as an
+    all-upper partition (whose boundary order is the linear order)."""
+    out = []
+
+    def grow(labels: tuple[int, ...], top: int) -> None:
+        if len(labels) == m:
+            blocks: dict[int, list[int]] = {}
+            for pos, lab in enumerate(labels):
+                blocks.setdefault(lab, []).append(pos)
+            struct = tuple(tuple(b) for b in blocks.values())
+            points = [[pos + 1 for pos in b] for b in struct]
+            if is_noncrossing(ColoredPartition(m, 0, WHITE * m, "", points)):
+                out.append(struct)
+            return
+        for lab in range(top + 2):
+            grow(labels + (lab,), max(top, lab))
+
+    grow((), -1)
+    return out
 
 
 def naive_rank(vectors: list[dict[int, int]], dim: int) -> int:

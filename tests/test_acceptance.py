@@ -15,7 +15,6 @@ from random import Random
 from easyqg import (
     ColoredPartition,
     IntMatrix,
-    Word,
     bareiss_determinant,
     chain_group_order,
     check_c1,
@@ -26,7 +25,6 @@ from easyqg import (
     evaluate_conditions,
     family_category,
     get_ring,
-    h_decompose,
     intertwiner_dim,
     involute,
     k_groups,
@@ -54,15 +52,11 @@ def criterion(num: int, text: str):
 
 def test_criterion_1_fusion_golden():
     with criterion(1, "fusion golden rules"):
-        r1 = Word((1,), 2)
-        assert h_decompose(r1, r1) == {
-            Word((1, 1), 2): 1, Word((2,), 2): 1, Word((), 2): 1
-        }
-        r1 = Word((1,), 3)
-        assert h_decompose(r1, r1) == {Word((1, 1), 3): 1, Word((2,), 3): 1}
-        assert h_decompose(Word((2,), 3), r1) == {
-            Word((2, 1), 3): 1, Word((3,), 3): 1, Word((), 3): 1
-        }
+        h2 = get_ring("H+", 2)
+        assert h2.decompose((1,), (1,)) == {(1, 1): 1, (2,): 1, (): 1}
+        h3 = get_ring("H+", 3)
+        assert h3.decompose((1,), (1,)) == {(1, 1): 1, (2,): 1}
+        assert h3.decompose((2,), (1,)) == {(2, 1): 1, (3,): 1, (): 1}
 
 
 def test_criterion_2_degree_closed_form():

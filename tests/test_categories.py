@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from easyqg import (
@@ -20,6 +22,9 @@ from easyqg import (
     tensor,
     vertical_pair,
 )
+from easyqg.categories import _nc_structures
+
+import helpers
 
 
 def test_closure_contains_base_and_rotations():
@@ -164,3 +169,10 @@ def test_member_counts_small_bounds():
     # hand-checked: (splits) x (structures) x (admissible colorings)
     assert family_category("U+", 2).member_count() == 1 + 3 * 2
     assert family_category("S+", 2).member_count() == 1 + 2 * 2 + 3 * (4 + 4)
+
+
+def test_nc_structures_match_filter_oracle():
+    for m in range(10):
+        assert list(_nc_structures(m)) == helpers.nc_structures_oracle(m)
+    for m in range(12):
+        assert len(_nc_structures(m)) == math.comb(2 * m, m) // (m + 1)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from easyqg.cli import EXIT_NONSTABLE, EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, main
 
 
@@ -162,6 +164,26 @@ def test_python_dash_m_matches_main(capsys):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == expected.encode()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("intertwiners", "--family", "O+", "--k", "1", "--l", "1", "--n", "0"),
+        ("intertwiners", "--family", "O+", "--k", "-1", "--l", "1", "--n", "2"),
+        ("fusion", "chaingroup", "--family", "O+", "--level-cap", "-1"),
+        ("fusion", "power", "--family", "O+", "--l", "-1"),
+        ("conditions", "--family", "O+", "--level-cap", "-1"),
+        ("conditions", "--family", "O+", "--degree-cap", "-1"),
+        ("ktheory", "--family", "O+", "--L", "0"),
+        ("category", "--family", "O+", "--max-points", "1"),
+    ],
+)
+def test_count_below_minimum_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: --")
 
 
 def test_ktheory_strict_exit_4(capsys):

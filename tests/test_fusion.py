@@ -8,26 +8,16 @@ from random import Random
 import pytest
 
 from easyqg import (
+    HWordRing,
     InconsistentDimension,
     ModulusMismatch,
     NotReachable,
     OddLabel,
     ParseError,
-    Word,
-    WrongFamily,
     chain_group_order,
-    degree,
-    dim,
     get_ring,
-    h_decompose,
-    length,
-    power_decompose,
-    so3_decompose,
-    su2_decompose,
-    word_fusion,
-    word_involution,
 )
-from easyqg.fusion import format_vector
+from easyqg.fusion import _fusion, format_vector
 
 import helpers
 
@@ -36,78 +26,110 @@ import helpers
 
 
 def test_word_involution():
-    assert word_involution(Word((1, 2), 4)) == Word((2, 3), 4)
-    assert word_involution(Word((), 3)) == Word((), 3)
+    assert get_ring("H+", 4).conjugate((1, 2)) == (2, 3)
+    assert get_ring("H+", 3).conjugate(()) == ()
     rng = Random(11)
     for _ in range(100):
         s = rng.randint(1, 6)
+        ring = get_ring("H+", s)
         letters = tuple(rng.randint(1, s) for _ in range(rng.randint(0, 6)))
-        w = Word(letters, s)
-        assert word_involution(word_involution(w)) == w
+        assert ring.conjugate(ring.conjugate(letters)) == letters
 
 
 def test_word_fusion():
-    assert word_fusion(Word((2,), 3), Word((1,), 3)) == Word((3,), 3)
-    assert word_fusion(Word((1, 2), 4), Word((1, 1), 4)) == Word((1, 3, 1), 4)
-    assert word_fusion(Word((), 3), Word((1,), 3)) is None
-    assert word_fusion(Word((1,), 3), Word((), 3)) is None
+    assert _fusion((2,), (1,), 3) == (3,)
+    assert _fusion((1, 2), (1, 1), 4) == (1, 3, 1)
+    assert _fusion((), (1,), 3) is None
+    assert _fusion((1,), (), 3) is None
     with pytest.raises(ModulusMismatch):
-        word_fusion(Word((1,), 2), Word((1,), 3))
+        get_ring("H+", 3).parse_label("r[1]@2")
 
 
 def test_word_validation():
-    with pytest.raises(ValueError):
-        Word((0,), 3)
-    with pytest.raises(ValueError):
-        Word((4,), 3)
+    with pytest.raises(ParseError):
+        get_ring("H+", 3).parse_label("r[0]")
+    with pytest.raises(ParseError):
+        get_ring("H+", 3).parse_label("r[4]")
 
 
 def test_h_decompose_golden():
-    r1_s2 = Word((1,), 2)
-    assert h_decompose(r1_s2, r1_s2) == {
-        Word((1, 1), 2): 1,
-        Word((2,), 2): 1,
-        Word((), 2): 1,
+    h2 = get_ring("H+", 2)
+    assert h2.decompose((1,), (1,)) == {
+        (1, 1): 1,
+        (2,): 1,
+        (): 1,
     }
-    r1_s3 = Word((1,), 3)
-    assert h_decompose(r1_s3, r1_s3) == {
-        Word((1, 1), 3): 1,
-        Word((2,), 3): 1,
+    h3 = get_ring("H+", 3)
+    assert h3.decompose((1,), (1,)) == {
+        (1, 1): 1,
+        (2,): 1,
     }
-    assert h_decompose(Word((2,), 3), r1_s3) == {
-        Word((2, 1), 3): 1,
-        Word((3,), 3): 1,
-        Word((), 3): 1,
+    assert h3.decompose((2,), (1,)) == {
+        (2, 1): 1,
+        (3,): 1,
+        (): 1,
     }
     with pytest.raises(ModulusMismatch):
-        h_decompose(Word((1,), 2), Word((1,), 3))
+        h3.parse_label("r[1]@2")
+
+
+def splitting_oracle(x: tuple, y: tuple, s: int) -> dict:
+    """r_x r_y straight from the module docstring: over all splittings
+    x = vz, y = z~ w, the term vw plus the fused term v.w when v, w != ()."""
+    out: dict = {}
+    for cut in range(len(x) + 1):
+        v, z = x[:cut], x[cut:]
+        zbar = tuple((-a) % s or s for a in reversed(z))
+        if y[: len(z)] != zbar:
+            continue
+        w = y[len(z):]
+        terms = [v + w]
+        if v and w:
+            terms.append(v[:-1] + ((v[-1] + w[0]) % s or s,) + w[1:])
+        for term in terms:
+            out[term] = out.get(term, 0) + 1
+    return out
+
+
+def test_decompose_matches_splitting_oracle():
+    for s in range(1, 5):
+        ring = HWordRing(s)  # a fresh ring, so its pair cache is dropped after
+        words = [
+            w for length in range(5)
+            for w in itertools.product(range(1, s + 1), repeat=length)
+        ]
+        for x in words:
+            for y in words:
+                assert ring.decompose(x, y) == splitting_oracle(x, y, s)
 
 
 # -- ladder rules ------------------------------------------------------------
 
 
 def test_su2_decompose():
-    assert su2_decompose(1, 1) == {0: 1, 2: 1}
-    assert su2_decompose(5, 0) == {5: 1}
-    assert su2_decompose(2, 3) == {1: 1, 3: 1, 5: 1}
+    su2 = get_ring("O+")
+    assert su2.decompose(1, 1) == {0: 1, 2: 1}
+    assert su2.decompose(5, 0) == {5: 1}
+    assert su2.decompose(2, 3) == {1: 1, 3: 1, 5: 1}
 
 
 def test_so3_decompose():
-    assert so3_decompose(2, 2) == {0: 1, 2: 1, 4: 1}
-    assert so3_decompose(0, 6) == {6: 1}
+    so3 = get_ring("S+")
+    assert so3.decompose(2, 2) == {0: 1, 2: 1, 4: 1}
+    assert so3.decompose(0, 6) == {6: 1}
     with pytest.raises(OddLabel):
-        so3_decompose(1, 2)
-    fundamental = get_ring("S+").fundamental()
-    square = get_ring("S+").multiply(fundamental, fundamental)
+        so3.decompose(1, 2)
+    fundamental = so3.fundamental()
+    square = so3.multiply(fundamental, fundamental)
     assert square[0] == 2  # trivial occurs twice in u (x) u
 
 
 def test_power_decompose():
     su2 = get_ring("O+")
-    assert power_decompose(su2, su2.fundamental(), 0) == {0: 1}
-    assert power_decompose(su2, su2.fundamental(), 3) == {1: 2, 3: 1}
+    assert su2.vector_power(su2.fundamental(), 0) == {0: 1}
+    assert su2.vector_power(su2.fundamental(), 3) == {1: 2, 3: 1}
     h2 = get_ring("H+", 2)
-    assert power_decompose(h2, h2.fundamental(), 2) == {
+    assert h2.vector_power(h2.fundamental(), 2) == {
         (1, 1): 1,
         (2,): 1,
         (): 1,
@@ -119,15 +141,15 @@ def test_power_decompose():
 
 def test_degree_examples():
     h3 = get_ring("H+", 3)
-    assert degree(h3, ()) == 0
-    assert degree(h3, (1, 2, 1)) == 4
+    assert h3.degree(()) == 0
+    assert h3.degree((1, 2, 1)) == 4
     su2 = get_ring("O+")
-    assert degree(su2, 4) == 4
+    assert su2.degree(4) == 4
     with pytest.raises(NotReachable):
-        degree(su2, 5, level_cap=3)
+        su2.degree(5, level_cap=3)
     # a degree already in the table still answers to the cap
     with pytest.raises(NotReachable):
-        degree(su2, 4, level_cap=3)
+        su2.degree(4, level_cap=3)
 
 
 def test_degree_bfs_equals_letter_sum_smoke():
@@ -135,15 +157,15 @@ def test_degree_bfs_equals_letter_sum_smoke():
         ring = get_ring("H+", s)
         for total in range(0, 7):
             for word in helpers.compositions(total, s):
-                assert degree(ring, word, level_cap=8) == sum(word)
+                assert ring.degree(word, level_cap=8) == sum(word)
 
 
 def test_length():
     h2 = get_ring("H+", 2)
-    assert length(h2, ()) == 0
-    assert length(h2, (1, 1)) == 2
-    with pytest.raises(WrongFamily):
-        length(get_ring("O+"), 2)
+    assert len(h2.parse_label("r[]")) == 0
+    assert len(h2.parse_label("r[1,1]")) == 2
+    with pytest.raises(ParseError):
+        get_ring("O+").parse_label("r[1,1]")
 
 
 def test_length_subadditive():
@@ -181,37 +203,37 @@ def test_chain_classes_match_degree_mod_s():
 
 def test_su2_dims():
     su2 = get_ring("O+")
-    assert dim(su2, 0, 5) == 1
-    assert dim(su2, 1, 5) == 5
-    assert dim(su2, 2, 5) == 24  # n^2 - 1
-    assert dim(su2, 2, 2) == 3  # classical SU(2) at n = 2
+    assert su2.dim(0, 5) == 1
+    assert su2.dim(1, 5) == 5
+    assert su2.dim(2, 5) == 24  # n^2 - 1
+    assert su2.dim(2, 2) == 3  # classical SU(2) at n = 2
 
 
 def test_so3_dims():
     so3 = get_ring("S+")
-    assert [dim(so3, 2 * k, 4) for k in range(4)] == [1, 3, 5, 7]
+    assert [so3.dim(2 * k, 4) for k in range(4)] == [1, 3, 5, 7]
     with pytest.raises(InconsistentDimension):
-        dim(so3, 2, 3)
+        so3.dim(2, 3)
 
 
 def test_hword_dims():
     h2 = get_ring("H+", 2)
     n = 4
-    assert dim(h2, (), n) == 1
-    assert dim(h2, (1,), n) == n
-    assert dim(h2, (2,), n) == n - 1
-    assert dim(h2, (1, 1), n) == n * n - n
+    assert h2.dim((), n) == 1
+    assert h2.dim((1,), n) == n
+    assert h2.dim((2,), n) == n - 1
+    assert h2.dim((1, 1), n) == n * n - n
     with pytest.raises(InconsistentDimension):
-        dim(h2, (1, 2), 2)
+        h2.dim((1, 2), 2)
     # below the fusion rules' validity range the recursion degenerates
     with pytest.raises(InconsistentDimension):
-        dim(get_ring("H+", 3), (2, 2, 3, 3), 3)
+        get_ring("H+", 3).dim((2, 2, 3, 3), 3)
     # at n = 4 every word of degree <= 8 carries a positive dimension
     for s in (2, 3, 4):
         ring = get_ring("H+", s)
         for total in range(9):
             for w in helpers.compositions(total, s):
-                assert dim(ring, w, 4) > 0
+                assert ring.dim(w, 4) > 0
 
 
 def test_hword_s1_dims_match_so3():
@@ -220,7 +242,7 @@ def test_hword_s1_dims_match_so3():
     so3 = get_ring("S+")
     for n in (4, 7):
         for k in range(6):
-            assert dim(h1, (1,) * k, n) == dim(so3, 2 * k, n)
+            assert h1.dim((1,) * k, n) == so3.dim(2 * k, n)
 
 
 def test_dimension_count_identity():
@@ -233,11 +255,11 @@ def test_dimension_count_identity():
     ]
     for ring, n, max_ell in cases:
         fund_dim = sum(
-            mult * dim(ring, label, n) for label, mult in ring.fundamental().items()
+            mult * ring.dim(label, n) for label, mult in ring.fundamental().items()
         )
         for ell in range(max_ell + 1):
             total = sum(
-                mult * dim(ring, label, n)
+                mult * ring.dim(label, n)
                 for label, mult in ring.power(ell).items()
             )
             assert total == fund_dim**ell
@@ -250,9 +272,9 @@ def test_dim_multiplicative_on_random_products():
         for _ in range(60):
             a = tuple(rng.randint(1, s) for _ in range(rng.randint(0, 3)))
             b = tuple(rng.randint(1, s) for _ in range(rng.randint(0, 3)))
-            lhs = dim(ring, a, n) * dim(ring, b, n)
+            lhs = ring.dim(a, n) * ring.dim(b, n)
             rhs = sum(
-                mult * dim(ring, g, n) for g, mult in ring.decompose(a, b).items()
+                mult * ring.dim(g, n) for g, mult in ring.decompose(a, b).items()
             )
             assert lhs == rhs
 
@@ -302,12 +324,12 @@ def test_word_products_agree_in_dimension_either_order():
         x = tuple(rng.randint(1, s) for _ in range(rng.randint(0, 4)))
         y = tuple(rng.randint(1, s) for _ in range(rng.randint(0, 4)))
         total_xy = sum(
-            mult * dim(ring, g, n) for g, mult in ring.decompose(x, y).items()
+            mult * ring.dim(g, n) for g, mult in ring.decompose(x, y).items()
         )
         total_yx = sum(
-            mult * dim(ring, g, n) for g, mult in ring.decompose(y, x).items()
+            mult * ring.dim(g, n) for g, mult in ring.decompose(y, x).items()
         )
-        assert total_xy == total_yx == dim(ring, x, n) * dim(ring, y, n)
+        assert total_xy == total_yx == ring.dim(x, n) * ring.dim(y, n)
 
 
 def test_frobenius_containment():
@@ -351,8 +373,6 @@ def test_degree_subadditivity_and_equality_cases():
         assert concat in ring.decompose(x, y)
         assert sum(concat) == dx + dy
         if x and y:
-            from easyqg.fusion import _fusion
-
             product = _fusion(x, y, s)
             if x[-1] + y[0] <= s:
                 assert sum(product) == dx + dy

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
 from random import Random
 
 import pytest
@@ -246,13 +245,3 @@ def test_zero_projection_gives_false():
     zero = rep.P_matrix - rep.P_matrix
     cup = t_map(lower_pair(WHITE, WHITE), 2)
     assert (zero.kron(rep.P_matrix) @ cup).is_zero()
-
-
-# -- serialization ---------------------------------------------------------------
-
-
-def test_matrix_json_round_trip():
-    m = ExactMatrix(2, 3, {(0, 1): Fraction(3, 2), (1, 2): -2})
-    data = m.to_json_dict()
-    assert data["entries"] == [[0, 1, "3/2"], [1, 2, "-2"]]
-    assert ExactMatrix.from_json_dict(data) == m
