@@ -205,10 +205,7 @@ def _run_category(args) -> dict:
     if (args.family is None) == (args.generators is None):
         raise ParseError("give exactly one of --family or --generators")
     if args.family is not None:
-        s = args.s if args.family == "H+" else None
-        if args.family == "H+" and (s is None or s < 1):
-            raise ParseError("family H+ requires --s >= 1")
-        sample = family_category(args.family, args.max_points, s=s)
+        sample = family_category(args.family, args.max_points, s=_require_s(args))
     else:
         gens = [parse_partition(text) for text in args.generators]
         sample = generate_category(gens, args.max_points)

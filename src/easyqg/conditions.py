@@ -164,15 +164,12 @@ def check_c2_partition_proxy(
 # ---------------------------------------------------------------------------
 
 
-def cp2_witness(
-    sample: PartitionCategorySample, max_points: int | None = None
-) -> tuple[ColoredPartition, int] | None:
+def cp2_witness(sample: PartitionCategorySample) -> tuple[ColoredPartition, int] | None:
     """First all-white r in C(1+k_0, 1) with rr* = id, in canonical order."""
     k_0 = k_param(sample)
     if k_0 <= 0:
         return None
-    bound = sample.max_points if max_points is None else max_points
-    if 2 + k_0 > bound:
+    if 2 + k_0 > sample.max_points:
         return None
     target = identity_power(1, WHITE)
     for r in sorted(sample.iter_members(k=1 + k_0, l=1, all_white=True)):

@@ -102,10 +102,6 @@ class FusionRing:
     def __init__(self):
         self._pair_cache: dict[tuple, dict] = {}
         self._power_cache: dict[tuple, list[dict]] = {}
-        # label -> least power of the fundamental containing it, complete
-        # for every label of degree <= _degree_swept
-        self._first_power: dict = {}
-        self._degree_swept = -1
 
     # subclass surface -------------------------------------------------
 
@@ -121,7 +117,8 @@ class FusionRing:
     def conjugate(self, label):
         raise NotImplementedError
 
-    def sort_key(self, label):
+    def _grade(self, label) -> int | None:
+        """The degree read off the label, None when no power contains it."""
         raise NotImplementedError
 
     def format_label(self, label) -> str:
@@ -167,19 +164,17 @@ class FusionRing:
     def support(self, exponent: int) -> frozenset:
         return frozenset(self.power(exponent))
 
+    def sort_key(self, label):
+        return (self._grade(label), label)
+
     def degree(self, label, level_cap: int = DEFAULT_LEVEL_CAP) -> int:
         """Smallest power of the fundamental containing the label.
 
-        Answered from the first-appearance table, which the power sweep
-        extends one power at a time until the label shows up or the cap is
-        reached, so each power is scanned once per ring.
+        Every ring is graded by it, so it is read off the label: the label
+        itself on the SU(2) ladder, half of it on the SO(3) ladder, and the
+        letter sum of a word.
         """
-        first = self._first_power
-        while label not in first and self._degree_swept < level_cap:
-            self._degree_swept += 1
-            for lab in self.power(self._degree_swept):
-                first.setdefault(lab, self._degree_swept)
-        found = first.get(label)
+        found = self._grade(label)
         if found is not None and found <= level_cap:
             return found
         raise NotReachable(
@@ -211,8 +206,8 @@ class SU2Ring(FusionRing):
     def conjugate(self, label: int) -> int:
         return label
 
-    def sort_key(self, label: int):
-        return (label, (label,))
+    def _grade(self, label: int) -> int | None:
+        return label if label >= 0 else None
 
     def format_label(self, label: int) -> str:
         return f"u{label}"
@@ -261,8 +256,8 @@ class SO3Ring(FusionRing):
     def conjugate(self, label: int) -> int:
         return label
 
-    def sort_key(self, label: int):
-        return (label // 2, (label,))
+    def _grade(self, label: int) -> int | None:
+        return label // 2 if label >= 0 and label % 2 == 0 else None
 
     def format_label(self, label: int) -> str:
         return f"u{label}"
@@ -308,6 +303,7 @@ class HWordRing(FusionRing):
             raise ValueError("s must be >= 1")
         super().__init__()
         self.s = s
+        self._letters = frozenset(range(1, s + 1))
         self._dim_cache: dict[tuple, int] = {}
 
     def trivial(self):
@@ -322,8 +318,8 @@ class HWordRing(FusionRing):
     def conjugate(self, label: tuple) -> tuple:
         return _involution(label, self.s)
 
-    def sort_key(self, label: tuple):
-        return (sum(label), label)
+    def _grade(self, label: tuple) -> int | None:
+        return sum(label) if self._letters.issuperset(label) else None
 
     def format_label(self, label: tuple) -> str:
         return f"r[{','.join(map(str, label))}]@{self.s}"
@@ -338,7 +334,7 @@ class HWordRing(FusionRing):
             )
         body = m.group(1).strip()
         letters = tuple(int(x) for x in body.split(",")) if body else ()
-        if any(not 1 <= x <= self.s for x in letters):
+        if not self._letters.issuperset(letters):
             raise ParseError(f"letters must lie in 1..{self.s}: {letters}")
         return letters
 

@@ -9,8 +9,8 @@ nest), and the maps
 
 then reads K_1 off kernel ranks and K_0 off cokernels with the connecting
 maps induced by psi.  It runs in one pass: level boundaries come from the
-ring's degree table, each step multiplies its basis by beta once and takes
-phi = psi minus the inclusion, and an O(nnz) certificate that
+ring's grading (``degree``), each step multiplies its basis by beta once
+and takes phi = psi minus the inclusion, and an O(nnz) certificate that
 [phi | e_complement] is unitriangular settles kernels, cokernels and the
 connecting map.  Smith normal form is the fallback for a step the
 certificate does not cover: the full (U, D, V) form uses the classical
@@ -71,9 +71,6 @@ class IntMatrix:
                 m.data[i][j] = v
         return m
 
-    def copy(self) -> "IntMatrix":
-        return IntMatrix([row[:] for row in self.data], self.rows, self.cols)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntMatrix):
             return NotImplemented
@@ -103,13 +100,6 @@ class IntMatrix:
                         if orow[j]:
                             target[j] += v * orow[j]
         return out
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            self.cols,
-            self.rows,
-        )
 
     def diagonal(self) -> list[int]:
         return [self.data[i][i] for i in range(min(self.rows, self.cols))]

@@ -106,14 +106,6 @@ class ColoredPartition:
     def points(self) -> int:
         return self.k + self.l
 
-    def is_lower(self, point: int) -> bool:
-        return point > self.k
-
-    def color_of(self, point: int) -> str:
-        if point <= self.k:
-            return self.upper_colors[point - 1]
-        return self.lower_colors[point - self.k - 1]
-
     def all_white(self) -> bool:
         return all(c == WHITE for c in self.upper_colors + self.lower_colors)
 
@@ -408,15 +400,6 @@ def color_counts(p: ColoredPartition) -> tuple[int, int, int]:
         1 for c in p.upper_colors if c == WHITE
     )
     return c_w, c_b, c_w - c_b
-
-
-def block_color_sum(p: ColoredPartition, block: Sequence[int]) -> int:
-    """The c-value of a single block (lower white / upper black count +1)."""
-    total = 0
-    for x in block:
-        sign = 1 if p.is_lower(x) else -1
-        total += sign if p.color_of(x) == WHITE else -sign
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -65,10 +65,6 @@ class ExactMatrix:
     def identity(cls, n: int) -> "ExactMatrix":
         return cls(n, n, {(i, i): 1 for i in range(n)})
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls(rows, cols)
-
     # -- protocol --------------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -91,9 +87,6 @@ class ExactMatrix:
 
     def is_zero(self) -> bool:
         return not self.entries
-
-    def copy(self) -> "ExactMatrix":
-        return ExactMatrix(self.rows, self.cols, dict(self.entries))
 
     # -- arithmetic -------------------------------------------------------
 
@@ -149,9 +142,6 @@ class ExactMatrix:
         return ExactMatrix(
             self.cols, self.rows, {(c, r): v for (r, c), v in self.entries.items()}
         )
-
-    def column(self, c: int) -> dict[int, object]:
-        return {r: v for (r, cc), v in self.entries.items() if cc == c}
 
     def columns(self) -> list[dict[int, object]]:
         cols: list[dict[int, object]] = [dict() for _ in range(self.cols)]
@@ -399,7 +389,7 @@ def range_projection(columns: list[dict[int, object]], dim: int) -> ExactMatrix:
         if red.add(_integerize(col)):
             basis.append(col)
     if not basis:
-        return ExactMatrix.zeros(dim, dim)
+        return ExactMatrix(dim, dim)
     t = len(basis)
     gram = [
         [

@@ -101,6 +101,18 @@ def compositions(total: int, max_part: int) -> list[tuple[int, ...]]:
     return out
 
 
+def first_power(ring, label, cap: int) -> int | None:
+    """Least e <= cap with the label in ``ring.power(e)``, None if there is none.
+
+    A degree oracle that sweeps the tensor powers instead of reading the
+    ring's grading.
+    """
+    for e in range(cap + 1):
+        if label in ring.power(e):
+            return e
+    return None
+
+
 def submatrix_det(data: list[list[int]], rows: tuple[int, ...], cols: tuple[int, ...]) -> int:
     sub = [[data[r][c] for c in cols] for r in rows]
     n = len(sub)

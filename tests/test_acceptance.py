@@ -66,7 +66,9 @@ def test_criterion_2_degree_closed_form():
             count = 0
             for total in range(0, 11):
                 for word in helpers.compositions(total, s):
-                    assert ring.degree(word, level_cap=10) == total
+                    assert ring.degree(word, level_cap=10) == helpers.first_power(
+                        ring, word, 10
+                    ) == total
                     count += 1
             assert count > 100
 

@@ -93,16 +93,28 @@ def test_family_predicate_matches_closure(family, s, bound):
     assert closed.members == direct.members
 
 
-def test_family_iteration_consistent_with_predicate():
-    sample = family_category("H+", 6, s=3)
+@pytest.mark.parametrize(
+    "family,s",
+    [("O+", None), ("U+", None), ("S+", None), ("H+", 1), ("H+", 2), ("H+", 3), ("H+", 4)],
+)
+def test_family_iteration_consistent_with_predicate(family, s):
+    sample = family_category(family, 6, s=s)
     members = list(sample.iter_members())
     assert len(members) == len(set(members))
+    assert sample.member_count() == sum(1 for _ in sample.iter_members())
     for p in members:
         assert p in sample
-    shaped = set(sample.iter_members(k=1, l=1))
-    assert shaped == {p for p in members if (p.k, p.l) == (1, 1)}
-    white = set(sample.iter_members(all_white=True))
-    assert white == {p for p in members if p.all_white()}
+    # every slice is the full iteration filtered, in the same order
+    for white in (False, True):
+        expected = [p for p in members if p.all_white() or not white]
+        assert list(sample.iter_members(all_white=white)) == expected
+        by_shape: dict[tuple[int, int], list] = {}
+        for p in expected:
+            by_shape.setdefault((p.k, p.l), []).append(p)
+        for m in range(7):
+            for k in range(m + 1):
+                sliced = sample.iter_members(k=k, l=m - k, all_white=white)
+                assert list(sliced) == by_shape.get((k, m - k), [])
 
 
 def test_h1_equals_splus():

@@ -147,9 +147,35 @@ def test_degree_examples():
     assert su2.degree(4) == 4
     with pytest.raises(NotReachable):
         su2.degree(5, level_cap=3)
-    # a degree already in the table still answers to the cap
+    # a degree beyond the cap does not answer
     with pytest.raises(NotReachable):
         su2.degree(4, level_cap=3)
+
+
+def test_degree_unreachable_labels():
+    with pytest.raises(NotReachable, match="u-1 not found in powers up to 32"):
+        get_ring("O+").degree(-1)
+    with pytest.raises(NotReachable):
+        get_ring("S+").degree(3)
+    with pytest.raises(NotReachable):
+        get_ring("S+").degree(-2)
+    h3 = get_ring("H+", 3)
+    for word in ((4,), (0,), (1, 4), (2, -1)):
+        with pytest.raises(NotReachable):
+            h3.degree(word)
+
+
+def test_ladder_degree_matches_power_sweep():
+    for family in ("O+", "S+"):
+        ring = get_ring(family)
+        for label in range(0, 13):
+            expected = helpers.first_power(ring, label, 12)
+            if expected is None:
+                with pytest.raises(NotReachable):
+                    ring.degree(label, level_cap=12)
+            else:
+                assert ring.degree(label, level_cap=12) == expected
+                assert ring.sort_key(label)[0] == expected
 
 
 def test_degree_bfs_equals_letter_sum_smoke():
@@ -157,7 +183,9 @@ def test_degree_bfs_equals_letter_sum_smoke():
         ring = get_ring("H+", s)
         for total in range(0, 7):
             for word in helpers.compositions(total, s):
-                assert ring.degree(word, level_cap=8) == sum(word)
+                assert ring.degree(word, level_cap=8) == helpers.first_power(
+                    ring, word, 8
+                ) == sum(word)
 
 
 def test_length():
