@@ -21,8 +21,8 @@ Membership in a family is one per-block rule (``_block_ok``).  A memoized
 table of the admissible colorings of each block drives iteration, and
 ``member_count`` multiplies the table's per-block counts instead of
 building members, so S+ at bound 8 (3.8 million members) is counted from
-17,577 shapes.  ``k_param`` iterates lazily and stops as soon as the
-running gcd hits 1.
+17,577 shapes.  ``k_param`` reads k(C) off the same table shape by
+shape, building no member either.
 """
 
 from __future__ import annotations
@@ -93,7 +93,6 @@ class PartitionCategorySample:
         self.family = family
         self.s = s
         self._members = members
-        self._k: int | None = None  # k_param's memo
         for base in BASE_PARTITIONS:
             if max_points >= 2 and base not in self:
                 raise ValueError("sample is missing a base partition")
@@ -105,7 +104,7 @@ class PartitionCategorySample:
             return False
         colors = p.upper_colors + p.lower_colors
         return all(
-            _block_ok(self.family, self.s, tuple(1 if x > p.k else -1 for x in b),
+            _block_ok(self.family, self.s, _block_signs(p.k, b),
                       [colors[x - 1] for x in b])
             for b in p.blocks
         )
@@ -242,20 +241,25 @@ def _nc_structures(m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(result)
 
 
+def _block_signs(k: int, block: tuple[int, ...]) -> tuple[int, ...]:
+    """+1 for each lower point of the block, -1 for each upper one."""
+    return tuple(1 if x > k else -1 for x in block)
+
+
+def _block_charge(signs: tuple[int, ...], colors: Sequence[str]) -> int:
+    """The block's share of c(p): a white point counts its sign, a black one minus it."""
+    return sum(sg if col == WHITE else -sg for sg, col in zip(signs, colors))
+
+
 def _block_ok(
     family: str, s: int | None, signs: tuple[int, ...], colors: Sequence[str]
 ) -> bool:
-    """The family's membership rule for one block.
-
-    ``signs`` holds +1 for a lower point and -1 for an upper one, aligned
-    with ``colors``; the block's share of c(p) counts a white point with its
-    sign and a black point against it.
-    """
+    """The family's membership rule for one block, ``signs`` aligned with ``colors``."""
     if family == "S+":
         return True
     if family == "O+":
         return len(signs) == 2
-    c = sum(sg if col == WHITE else -sg for sg, col in zip(signs, colors))
+    c = _block_charge(signs, colors)
     if family == "U+":
         return len(signs) == 2 and c == 0
     if family == "H+":
@@ -302,8 +306,10 @@ def _family_shapes(
                     tuple(sorted(pos + 1 if pos < kk else m + kk - pos for pos in b))
                     for b in struct
                 )
-                signs = [tuple(1 if x > kk else -1 for x in b) for b in blocks]
-                options = [_block_colorings(family, s, sg, palette) for sg in signs]
+                options = [
+                    _block_colorings(family, s, _block_signs(kk, b), palette)
+                    for b in blocks
+                ]
                 if all(options):
                     yield kk, m - kk, blocks, options
 
@@ -334,18 +340,30 @@ def k_param(sample: PartitionCategorySample) -> int:
     """gcd of |c(p)| over the sample, 0 when every member is balanced.
 
     Every c(p) in a category is a multiple of k(C), so within a saturated
-    sample the gcd equals the minimal positive c(p).  When the running gcd
-    reaches 1 no further member can change it, so iteration stops early.
-    If ``sample.saturated`` is false the value only reflects the bound.
+    sample the gcd equals the minimal positive c(p).  A family sample is
+    read per shape off its coloring table: c(p) adds over blocks, so the
+    shape's gcd is that of the first options' total charge and of every
+    charge difference within a block.  A closure sample goes through its
+    members.  Both stop once the running gcd reaches 1.  If
+    ``sample.saturated`` is false the value only reflects the bound.
     """
-    if sample._k is not None:
-        return sample._k
     g = 0
-    for p in sample.iter_members():
-        c = color_counts(p)[2]
-        if c:
-            g = math.gcd(g, abs(c))
+    if sample.family is None:
+        for p in sample.iter_members():
+            g = math.gcd(g, color_counts(p)[2])
             if g == 1:
                 break
-    sample._k = g
+        return g
+    shapes = _family_shapes(sample.family, sample.s, sample.max_points)
+    for k, _, blocks, options in shapes:
+        total = 0
+        for b, opts in zip(blocks, options):
+            signs = _block_signs(k, b)
+            first = _block_charge(signs, opts[0])
+            total += first
+            for colors in opts:
+                g = math.gcd(g, _block_charge(signs, colors) - first)
+        g = math.gcd(g, total)
+        if g == 1:
+            break
     return g

@@ -190,6 +190,9 @@ def classify_cp(sample: PartitionCategorySample) -> dict:
         "cp2_witness": None,
     }
     if k == 0:
+        if any(g.points > sample.max_points for g in sample.generators):
+            # a generator the bound cannot see may carry c != 0
+            result.update(cp1=UNDETERMINED, cp2=UNDETERMINED, rule="none")
         return result
     double_pair = tensor(lower_pair(WHITE, WHITE), lower_pair(BLACK, BLACK))
     four_block = four_block_wwbb()

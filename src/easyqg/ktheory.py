@@ -8,9 +8,10 @@ nest), and the maps
     phi(a) = a (beta - 1)        psi(a) = a beta
 
 then reads K_1 off kernel ranks and K_0 off cokernels with the connecting
-maps induced by psi.  It runs in one pass: level boundaries come from the
-ring's grading (``degree``), each step multiplies its basis by beta once
-and takes phi = psi minus the inclusion, and an O(nnz) certificate that
+maps induced by psi.  It runs in one pass: each level multiplies its basis
+by beta once, and as multiplicities are positive the supports of these psi
+columns form the next basis; boundaries come from the ring's grading
+(``degree``), phi = psi minus the inclusion, and an O(nnz) certificate that
 [phi | e_complement] is unitriangular settles kernels, cokernels and the
 connecting map.  Smith normal form is the fallback for a step the
 certificate does not cover: the full (U, D, V) form uses the classical
@@ -21,7 +22,7 @@ fallback (same invariant factors, cross checked in the tests).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import NotReachable, ShapeMismatch, WrongFamily
@@ -392,10 +393,13 @@ class FGAbelianGroup:
 
 @dataclass(frozen=True)
 class LevelModule:
+    """R_ell; ``psi`` maps each basis label x to x beta, empty on the top level."""
+
     level: int
     power: int
     basis: tuple
     boundary_basis: tuple
+    psi: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def _leading_label(ring: FusionRing, label, k_0: int):
@@ -420,19 +424,9 @@ def _grades(ring: FusionRing, labels, cap: int) -> dict:
     return {y: ring.degree(y, cap) for y in labels}
 
 
-def _start_power(ring: FusionRing, fundamental: dict, k_0: int) -> int:
-    """Least N >= 0 with supp u^N inside supp u^(N + k_0).
-
-    From N on the level supports nest, so every basis label of one level is
-    a basis label of the next and psi lands in the next level.
-    """
-    for n in range(DEFAULT_LEVEL_CAP + 1):
-        here = ring.vector_power(fundamental, n)
-        if here.keys() <= ring.vector_power(fundamental, n + k_0).keys():
-            return n
-    raise NotReachable(
-        f"u^N is not contained in u^(N+{k_0}) for any N <= {DEFAULT_LEVEL_CAP}"
-    )
+def _support(psi: dict) -> set:
+    """The labels of the psi columns: supp u^(a+k_0) when x runs over supp u^a."""
+    return {y for col in psi.values() for y in col}
 
 
 def build_levels(
@@ -440,23 +434,37 @@ def build_levels(
 ) -> list[LevelModule]:
     """R_N, R_(N+k_0), ..., R_(N+levels*k_0) with bases sorted by (degree, label).
 
-    N is the least power from which the supports nest; the boundary of a
-    level is its labels of degree exactly its power.
+    Multiplicities are positive, so supp u^(a+k_0) is the union of the
+    supports of psi(x) over x in supp u^a.  N is the least power inside that
+    union (the levels nest from there), each later basis is the union, and
+    a boundary is the labels of degree exactly the level's power.
     """
     if k_0 < 1:
         raise ValueError("k_0 must be >= 1")
     if levels < 0:
         raise ValueError("levels must be >= 0")
-    start = _start_power(ring, fundamental, k_0)
-    out = []
-    for ell in range(levels + 1):
-        power = start + ell * k_0
-        vec = ring.vector_power(fundamental, power)
-        basis = tuple(sorted(vec, key=ring.sort_key))
-        boundary = tuple(
-            x for x in basis if ring.degree(x, level_cap=power) == power
+    beta = ring.vector_power(fundamental, k_0)
+    for start in range(DEFAULT_LEVEL_CAP + 1):
+        basis = tuple(sorted(ring.vector_power(fundamental, start), key=ring.sort_key))
+        psi = psi_columns(ring, basis, beta)
+        if _support(psi).issuperset(basis):
+            break
+    else:
+        raise NotReachable(
+            f"u^N is not contained in u^(N+{k_0}) for any N <= {DEFAULT_LEVEL_CAP}"
         )
-        out.append(LevelModule(ell, power, basis, boundary))
+
+    def level(ell: int, basis: tuple, psi: dict) -> LevelModule:
+        power = start + ell * k_0
+        boundary = tuple(x for x in basis if ring.degree(x, power) == power)
+        return LevelModule(ell, power, basis, boundary, psi)
+
+    out = []
+    for ell in range(levels):
+        out.append(level(ell, basis, psi))
+        basis = tuple(sorted(_support(psi), key=ring.sort_key))
+        psi = psi_columns(ring, basis, beta) if ell + 1 < levels else {}
+    out.append(level(levels, basis, {}))
     return out
 
 
@@ -496,14 +504,14 @@ def _unitriangular(ring: FusionRing, k_0: int, psi: dict, grade: dict) -> bool:
 
 
 def _snf_step(
-    ring: FusionRing, k_0: int, src: LevelModule, dst: LevelModule, psi: dict
+    ring: FusionRing, k_0: int, src: LevelModule, dst: LevelModule
 ) -> "StepReport":
     """One step read off Smith normal forms of phi, psi and [phi | e_complement]."""
     pos = {label: i for i, label in enumerate(dst.basis)}
     psi_entries = {
         (pos[y], j): mult
         for j, x in enumerate(src.basis)
-        for y, mult in psi[x].items()
+        for y, mult in src.psi[x].items()
     }
     phi_entries = dict(psi_entries)
     for j, x in enumerate(src.basis):
@@ -649,26 +657,23 @@ def k_groups(
     if levels < 1:
         raise ValueError("need at least one level step")
     mods = build_levels(ring, fundamental, k_0, levels)
-    beta = ring.vector_power(fundamental, k_0)
     grade = _grades(ring, mods[-1].basis, mods[-1].power)
-    steps: list[StepReport] = []
     # with phi = psi - inclusion, psi o phi = phi o psi says that psi(x) is
-    # the same vector at consecutive levels
-    commutes = True
-    previous: dict = {}
+    # the same vector at consecutive levels (columns computed level by level)
+    commutes = all(
+        high.psi.get(x) == vec
+        for low, high in zip(mods, mods[1:-1])
+        for x, vec in low.psi.items()
+    )
+    steps: list[StepReport] = []
     for src, dst in zip(mods, mods[1:]):
-        psi = psi_columns(ring, src.basis, beta)
-        commutes = commutes and all(
-            psi.get(x) == vec for x, vec in previous.items()
-        )
-        if _unitriangular(ring, k_0, psi, grade):
+        if _unitriangular(ring, k_0, src.psi, grade):
             free = len(dst.basis) - len(src.basis)
             steps.append(StepReport(
                 src.level, dst.level, 0, 0, FGAbelianGroup(free), free, True, True
             ))
         else:
-            steps.append(_snf_step(ring, k_0, src, dst, psi))
-        previous = psi
+            steps.append(_snf_step(ring, k_0, src, dst))
 
     k1 = 0 if all(s.ker_rank_phi == 0 and s.ker_rank_psi == 0 for s in steps) else None
     if k1 is None:
@@ -687,13 +692,7 @@ def k_groups(
             stabilized = True
             k0 = last.coker
 
-    trivial = ring.trivial()
-    final_step = steps[-1]
-    unit_class: object
-    if stabilized and k0 is not None and k0.free_rank == 1 and not k0.torsion:
-        unit_class = 1 if final_step.identity_on_persisting else None
-    else:
-        unit_class = {ring.format_label(trivial): 1}
+    trivial_class = {ring.format_label(ring.trivial()): 1}
     return InductiveLimitReport(
         family=family,
         k_0=k_0,
@@ -703,7 +702,7 @@ def k_groups(
         k1_rank=k1,
         k0_stabilized=stabilized,
         k0=k0,
-        unit_class=unit_class,
+        unit_class=1 if stabilized and k0 == FGAbelianGroup(1) else trivial_class,
     )
 
 

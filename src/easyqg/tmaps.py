@@ -189,11 +189,11 @@ def _flat_index(labels: Sequence[int], n: int) -> int:
     return idx
 
 
-def t_map(p: ColoredPartition, n: int, cap: int | None = None) -> ExactMatrix:
+def t_map(p: ColoredPartition, n: int) -> ExactMatrix:
     """The 0/1 matrix of T_p at size n, shape n^l by n^k."""
     if n < 1:
         raise ValueError("n must be positive")
-    cap = _entry_cap() if cap is None else cap
+    cap = _entry_cap()
     if n ** max(p.k, p.l) > cap:
         raise SizeOverflow(
             f"n^max(k,l) = {n}^{max(p.k, p.l)} exceeds the cap {cap}"

@@ -3,10 +3,18 @@
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from random import Random
 
-from easyqg import ColoredPartition, WHITE, BLACK, family_category, is_noncrossing
+from easyqg import (
+    BLACK,
+    ColoredPartition,
+    WHITE,
+    color_counts,
+    family_category,
+    is_noncrossing,
+)
 
 
 def random_partition(rng: Random, max_points: int = 8) -> ColoredPartition:
@@ -111,6 +119,35 @@ def first_power(ring, label, cap: int) -> int | None:
         if label in ring.power(e):
             return e
     return None
+
+
+def member_loop_k(sample) -> int:
+    """gcd of c(p) over the members, built one by one; a k(C) oracle."""
+    g = 0
+    for p in sample.iter_members():
+        g = math.gcd(g, color_counts(p)[2])
+        if g == 1:
+            break
+    return g
+
+
+def power_sweep_levels(ring, k_0: int, levels: int) -> list[tuple]:
+    """``(power, basis, boundary)`` of every level, from full tensor powers.
+
+    The levels start at the least N with supp u^N inside supp u^(N + k_0);
+    level ell is the support of u^(N + ell k_0), sorted by (degree, label),
+    and its boundary holds the labels that no lower power contains.
+    """
+    start = next(
+        n for n in range(33) if ring.power(n).keys() <= ring.power(n + k_0).keys()
+    )
+    out = []
+    for ell in range(levels + 1):
+        power = start + ell * k_0
+        basis = tuple(sorted(ring.power(power), key=ring.sort_key))
+        boundary = tuple(x for x in basis if first_power(ring, x, power) == power)
+        out.append((power, basis, boundary))
+    return out
 
 
 def submatrix_det(data: list[list[int]], rows: tuple[int, ...], cols: tuple[int, ...]) -> int:

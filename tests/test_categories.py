@@ -139,6 +139,17 @@ def test_k_param_families(family, s, expected):
     assert k_param(sample) == expected
 
 
+@pytest.mark.parametrize("bound", range(2, 7))
+@pytest.mark.parametrize(
+    "family,s",
+    [("O+", None), ("U+", None), ("S+", None), ("H+", 1), ("H+", 2), ("H+", 3),
+     ("H+", 4)],
+)
+def test_k_param_table_matches_member_loop(family, s, bound):
+    sample = family_category(family, bound, s=s)
+    assert k_param(sample) == helpers.member_loop_k(sample)
+
+
 def test_k_param_gcd_equals_min_positive():
     for family, s in [("O+", None), ("S+", None), ("H+", 2), ("H+", 3)]:
         sample = family_category(family, 6, s=s)

@@ -100,6 +100,15 @@ def test_conditions_u_plus(capsys):
     assert payload["CP2"]["status"] == "fails"
 
 
+def test_conditions_generator_beyond_bound(capsys):
+    payload = run_json(capsys, "conditions", "--family", "H+", "--s", "9")
+    assert payload["k"] == 0
+    assert payload["CP1"]["status"] == "undetermined"
+    assert payload["CP2"]["status"] == "undetermined"
+    assert payload["cp_rule"] == "none"
+    assert payload["consistent"] is True
+
+
 def test_ktheory_o_plus(capsys):
     payload = run_json(capsys, "ktheory", "--family", "O+", "--L", "8")
     assert payload["K0"] == {"rank": 1, "torsion": []}

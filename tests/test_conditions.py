@@ -102,6 +102,17 @@ def test_classify_cp(family, s, cp1, cp2, rule):
     assert result["rule"] == rule
 
 
+def test_generator_beyond_bound_leaves_cp_undetermined():
+    # b_9 has 9 points, so the default bound of 8 sees only balanced members
+    report = evaluate_conditions("H+", s=9)
+    assert report.k_value == 0
+    assert (report.cp1_status, report.cp2_status, report.cp_rule) == (
+        UNDETERMINED, UNDETERMINED, "none"
+    )
+    assert (report.c2_status, report.c2_witness) == (HOLDS, (1, 9))
+    assert report.consistent
+
+
 def test_cp2_witness_recheckable():
     for family, s in [("O+", None), ("S+", None), ("H+", 2), ("H+", 3)]:
         sample = family_category(family, 8, s=s)

@@ -19,7 +19,7 @@ from easyqg import (
     smith_normal_form,
 )
 from easyqg.errors import WrongFamily
-from easyqg.fusion import SU2Ring, _add_scaled
+from easyqg.fusion import HWordRing, SO3Ring, SU2Ring, _add_scaled
 from easyqg.ktheory import _leading_label, psi_columns
 
 import helpers
@@ -260,6 +260,24 @@ def test_engine_matches_snf_oracle(family, s, k_0, levels):
         oracle = snf_step_oracle(ring, k_0, src, dst, beta)
         got = {name: getattr(step, name) for name in oracle}
         assert got == oracle
+
+
+@pytest.mark.parametrize(
+    "family,s,k_0,levels",
+    [("O+", None, 2, 8), ("S+", None, 1, 8), ("H+", 1, 1, 3), ("H+", 2, 2, 3),
+     ("H+", 3, 3, 3), ("H+", 4, 4, 3)],
+)
+def test_levels_match_power_sweep(family, s, k_0, levels):
+    ring = get_ring(family, s)
+    mods = build_levels(ring, ring.fundamental(), k_0, levels)
+    # a ring object with none of the cached ring's products
+    fresh = HWordRing(s) if family == "H+" else {"O+": SU2Ring, "S+": SO3Ring}[family]()
+    oracle = helpers.power_sweep_levels(fresh, k_0, levels)
+    assert [(m.power, m.basis, m.boundary_basis) for m in mods] == oracle
+    beta = fresh.power(k_0)
+    for mod in mods[:-1]:
+        assert mod.psi == psi_columns(fresh, mod.basis, beta)
+    assert mods[-1].psi == {}
 
 
 class DoubledTopLadder(SU2Ring):

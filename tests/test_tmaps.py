@@ -90,9 +90,10 @@ def test_t_map_matches_delta_entrywise():
             assert m.entries.get((row, col), 0) == delta_p(p, i, j, n)
 
 
-def test_size_overflow():
+def test_size_overflow(monkeypatch):
+    monkeypatch.setenv("EASYQG_MAX_TMAP_ENTRIES", str(10**3))
     with pytest.raises(SizeOverflow):
-        t_map(identity_power(4), 10, cap=10**3)
+        t_map(identity_power(4), 10)
 
 
 def test_size_cap_env_override(monkeypatch):
