@@ -135,13 +135,14 @@ def check_c2(
 
 
 def check_c2_partition_proxy(
-    sample: PartitionCategorySample,
+    sample: PartitionCategorySample, k: int
 ) -> tuple[str, tuple[int, int] | None, str]:
     """C2 decided from the category alone (used when no fusion ring ships).
 
     Hom(u^l, u^(l+t)) is spanned by the all-white members of C(l, l+t),
     and every all-white member has c(p) = l_p - k_p, so the candidate gap
-    is the minimal positive l - k over all-white members.
+    is the minimal positive l - k over all-white members.  ``k`` is
+    k(C) as ``k_param`` gives it; it selects the witness shape.
     """
     k_0 = None
     for p in sample.iter_members(all_white=True):
@@ -153,7 +154,7 @@ def check_c2_partition_proxy(
             f"no all-white member with more lower than upper points within "
             f"{sample.max_points} points"
         )
-    witness = cp2_witness(sample)
+    witness = cp2_witness(sample, k)
     if witness is None:
         return UNDETERMINED, (0, k_0), "no witness r with rr* = id within bound"
     return HOLDS, (witness[1], k_0), "partition-backed proxy"
@@ -164,9 +165,13 @@ def check_c2_partition_proxy(
 # ---------------------------------------------------------------------------
 
 
-def cp2_witness(sample: PartitionCategorySample) -> tuple[ColoredPartition, int] | None:
-    """First all-white r in C(1+k_0, 1) with rr* = id, in canonical order."""
-    k_0 = k_param(sample)
+def cp2_witness(
+    sample: PartitionCategorySample, k_0: int
+) -> tuple[ColoredPartition, int] | None:
+    """First all-white r in C(1+k_0, 1) with rr* = id, in canonical order.
+
+    ``k_0`` is k(C) of the sample, as ``k_param`` gives it.
+    """
     if k_0 <= 0:
         return None
     if 2 + k_0 > sample.max_points:
@@ -207,7 +212,7 @@ def classify_cp(sample: PartitionCategorySample) -> dict:
     else:
         result["cp1"] = UNDETERMINED
         result["rule"] = "none"
-    witness = cp2_witness(sample)
+    witness = cp2_witness(sample, k)
     if witness is not None:
         result["cp2"] = HOLDS
         result["cp2_witness"] = to_literal(witness[0])
@@ -235,7 +240,7 @@ def evaluate_conditions(
         c1_status = FAILS if cp["k"] == 0 else UNDETERMINED
         c1_witnesses: dict[str, str] = {}
         c1_note = "partition-backed proxy: k(C) = 0 forbids invariant vectors"
-        c2_status, c2_witness, c2_note = check_c2_partition_proxy(sample)
+        c2_status, c2_witness, c2_note = check_c2_partition_proxy(sample, cp["k"])
     else:
         ring = get_ring(family, s)
         c1_status, c1_witnesses = check_c1(ring, degree_cap)

@@ -583,17 +583,6 @@ class StepReport:
     coker_rank_matches_complement: bool
     identity_on_persisting: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "level": self.to_level,
-            "coker": self.coker.to_dict(),
-            "ker_rank": self.ker_rank_phi,
-            "ker_rank_psi": self.ker_rank_psi,
-            "complement_labels": self.complement_labels,
-            "coker_rank_matches_complement": self.coker_rank_matches_complement,
-            "identity_on_persisting": self.identity_on_persisting,
-        }
-
 
 @dataclass
 class InductiveLimitReport:

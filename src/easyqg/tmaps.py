@@ -6,6 +6,12 @@ with entries in 1..n maps to the flat index sum (x_t - 1) * n^(k-t), so
 the first tensor factor is the most significant digit and the Kronecker
 product of matrices matches the tensor product of partitions.
 
+T_p is built from per-block place weights: a block's row (column) weight
+sums the place values of its lower (upper) points, and every labelling of
+the blocks by 0..n-1 puts a 1 at the weighted sums.  P_p is T_p / n^b(p,p)
+minus the orthogonal projection onto the ranges of the smaller projectives,
+which exact Gram-Schmidt builds as E D^{-1} E^t.
+
 The colors of a partition never enter T_p; only the block structure does.
 """
 
@@ -182,15 +188,15 @@ def delta_p(
     return 1
 
 
-def _flat_index(labels: Sequence[int], n: int) -> int:
-    idx = 0
-    for x in labels:
-        idx = idx * n + (x - 1)
-    return idx
-
-
 def t_map(p: ColoredPartition, n: int) -> ExactMatrix:
-    """The 0/1 matrix of T_p at size n, shape n^l by n^k."""
+    """The 0/1 matrix of T_p at size n, shape n^l by n^k.
+
+    Upper point x has place value n^(k-x) in the column index and lower
+    point x has n^(k+l-x) in the row index; block b's weights row_b and
+    col_b sum its points' place values.  Each labelling v of the blocks by
+    0..n-1, extended one block at a time, puts a 1 at
+    (sum_b v_b row_b, sum_b v_b col_b).
+    """
     if n < 1:
         raise ValueError("n must be positive")
     cap = _entry_cap()
@@ -198,28 +204,13 @@ def t_map(p: ColoredPartition, n: int) -> ExactMatrix:
         raise SizeOverflow(
             f"n^max(k,l) = {n}^{max(p.k, p.l)} exceeds the cap {cap}"
         )
-    m = len(p.blocks)
-    entries = {}
-    block_of = {}
-    for idx, b in enumerate(p.blocks):
-        for x in b:
-            block_of[x] = idx
-    # one value per block; every consistent labeling contributes entry 1
-    values = [1] * m
-    while True:
-        i = [values[block_of[t]] for t in range(1, p.k + 1)]
-        j = [values[block_of[t]] for t in range(p.k + 1, p.k + p.l + 1)]
-        entries[(_flat_index(j, n), _flat_index(i, n))] = 1
-        pos = m - 1
-        while pos >= 0 and values[pos] == n:
-            values[pos] = 1
-            pos -= 1
-        if pos < 0:
-            break
-        values[pos] += 1
-        if m == 0:
-            break
-    return ExactMatrix(n**p.l, n**p.k, entries)
+    k, top = p.k, p.k + p.l
+    cells = [(0, 0)]
+    for b in p.blocks:
+        row_w = sum(n ** (top - x) for x in b if x > k)
+        col_w = sum(n ** (k - x) for x in b if x <= k)
+        cells = [(r + v * row_w, c + v * col_w) for r, c in cells for v in range(n)]
+    return ExactMatrix(n**p.l, n**p.k, dict.fromkeys(cells, 1))
 
 
 def check_functoriality(p: ColoredPartition, q: ColoredPartition, n: int) -> bool:
@@ -332,8 +323,7 @@ def intertwiner_dim(
     red = IntRowReducer()
     basis = []
     for p in sorted(sample.iter_members(k=k, l=l, all_white=True)):
-        vec = t_map(p, n).flatten()
-        if red.add({c: int(v) for c, v in vec.items()}):
+        if red.add(t_map(p, n).flatten()):
             basis.append(p)
     return red.rank, basis
 
@@ -360,68 +350,36 @@ class ProjectionReport:
         )
 
 
-def _solve_rational(a: list[list[Fraction]], rhs: list[list[Fraction]]):
-    """Solve a X = rhs for square invertible a, by Gaussian elimination."""
-    t = len(a)
-    m = [row[:] + r[:] for row, r in zip(a, rhs)]
-    width = len(m[0])
-    for col in range(t):
-        piv = next(r for r in range(col, t) if m[r][col] != 0)
-        m[col], m[piv] = m[piv], m[col]
-        inv = Fraction(1, 1) / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(t):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [row[t:width] for row in m]
-
-
 def range_projection(columns: list[dict[int, object]], dim: int) -> ExactMatrix:
     """Orthogonal projection onto the span of the given column vectors.
 
-    Computed over Q via the normal equations B (B^t B)^{-1} B^t on an
-    independent column subset B.
+    Exact Gram-Schmidt: each column minus its components along the earlier
+    orthogonal vectors is zero (the column is dependent) or the next
+    vector e, kept as a primitive integer vector so that all of the
+    elimination runs on integers.  The projection is E D^{-1} E^t with
+    D = diag(<e, e>).
     """
-    red = IntRowReducer()
-    basis: list[dict[int, object]] = []
+    basis: list[tuple[dict[int, int], int]] = []
     for col in columns:
-        if red.add(_integerize(col)):
-            basis.append(col)
-    if not basis:
-        return ExactMatrix(dim, dim)
-    t = len(basis)
-    gram = [
-        [
-            Fraction(
-                sum(
-                    Fraction(basis[i].get(r, 0)) * Fraction(basis[j].get(r, 0))
-                    for r in set(basis[i]) & set(basis[j])
-                )
-            )
-            for j in range(t)
-        ]
-        for i in range(t)
-    ]
-    # rhs = B^t as a dense t x dim block (sparse columns keep this cheap)
-    rhs = [[Fraction(0)] * dim for _ in range(t)]
-    for i, col in enumerate(basis):
-        for r, v in col.items():
-            rhs[i][r] = Fraction(v)
-    x = _solve_rational(gram, rhs)  # t x dim
-    entries: dict[tuple[int, int], Fraction] = {}
-    for i, col in enumerate(basis):
-        for r, v in col.items():
-            vf = Fraction(v)
-            for c in range(dim):
-                if x[i][c]:
-                    key = (r, c)
-                    new = entries.get(key, 0) + vf * x[i][c]
-                    if new:
-                        entries[key] = new
-                    else:
-                        entries.pop(key, None)
-    return ExactMatrix(dim, dim, entries)
+        vec = {r: v for r, v in _integerize(col).items() if v}
+        for e, norm in basis:
+            dot = sum(v * e[r] for r, v in vec.items() if r in e)
+            if dot:
+                vec = {
+                    r: norm * vec.get(r, 0) - dot * e.get(r, 0)
+                    for r in vec.keys() | e.keys()
+                }
+                g = math.gcd(*vec.values())
+                vec = {r: v // g for r, v in vec.items() if v}
+        if vec:
+            basis.append((vec, sum(v * v for v in vec.values())))
+    e_matrix = ExactMatrix(dim, len(basis), {
+        (r, i): v for i, (e, _) in enumerate(basis) for r, v in e.items()
+    })
+    d_inv = ExactMatrix(len(basis), len(basis), {
+        (i, i): Fraction(1, norm) for i, (_, norm) in enumerate(basis)
+    })
+    return e_matrix @ d_inv @ e_matrix.transpose()
 
 
 def sub_projectives(p: ColoredPartition, sample) -> list[ColoredPartition]:

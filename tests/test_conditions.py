@@ -77,7 +77,7 @@ def test_check_c2_capped_gap_search_undetermined():
 
 def test_u_plus_proxy_fails():
     sample = family_category("U+", 8)
-    status, witness, note = check_c2_partition_proxy(sample)
+    status, witness, note = check_c2_partition_proxy(sample, k_param(sample))
     assert status == FAILS
     assert witness is None
     assert "no all-white member" in note
@@ -116,7 +116,7 @@ def test_generator_beyond_bound_leaves_cp_undetermined():
 def test_cp2_witness_recheckable():
     for family, s in [("O+", None), ("S+", None), ("H+", 2), ("H+", 3)]:
         sample = family_category(family, 8, s=s)
-        witness = cp2_witness(sample)
+        witness = cp2_witness(sample, k_param(sample))
         assert witness is not None
         r, n_pow = witness
         assert n_pow == 1
@@ -126,7 +126,8 @@ def test_cp2_witness_recheckable():
 
 
 def test_cp2_witness_none_for_uplus():
-    assert cp2_witness(family_category("U+", 8)) is None
+    sample = family_category("U+", 8)
+    assert cp2_witness(sample, k_param(sample)) is None
 
 
 def test_reports_consistent():

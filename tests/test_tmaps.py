@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -26,6 +28,8 @@ from easyqg import (
     identity_power,
     intertwiner_dim,
     involute,
+    is_noncrossing,
+    is_projective,
     lower_pair,
     matrix_rank,
     one_block,
@@ -34,7 +38,7 @@ from easyqg import (
     t_map,
     tensor,
 )
-from easyqg.tmaps import rank_of_vectors
+from easyqg.tmaps import range_projection, rank_of_vectors, sub_projectives
 
 import helpers
 
@@ -73,21 +77,33 @@ def test_t_map_ignores_colors():
         assert t_map(p, 2) == t_map(p.uncolored(), 2)
 
 
-def test_t_map_matches_delta_entrywise():
-    p = ColoredPartition(1, 2, "w", "ww", [(1, 3), (2,)])
-    n = 3
+def _assert_t_map_is_delta(p, n):
     m = t_map(p, n)
-    import itertools
-
+    assert (m.rows, m.cols) == (n**p.l, n**p.k)
     for i in itertools.product(range(1, n + 1), repeat=p.k):
+        col = 0
+        for x in i:
+            col = col * n + x - 1
         for j in itertools.product(range(1, n + 1), repeat=p.l):
             row = 0
             for x in j:
                 row = row * n + x - 1
-            col = 0
-            for x in i:
-                col = col * n + x - 1
             assert m.entries.get((row, col), 0) == delta_p(p, i, j, n)
+
+
+def test_t_map_matches_delta_entrywise():
+    structures = helpers.all_nc_structures(5)
+    assert structures[0].points == 0  # the empty partition is included
+    rng = Random(10)
+    crossing = []
+    while len(crossing) < 40:
+        p = helpers.random_partition(rng, max_points=5)
+        if not is_noncrossing(p):
+            crossing.append(p)
+    mixed = ColoredPartition(1, 2, "w", "ww", [(1, 3), (2,)])
+    for p in [mixed] + structures + crossing:
+        for n in (1, 2, 3):
+            _assert_t_map_is_delta(p, n)
 
 
 def test_size_overflow(monkeypatch):
@@ -189,6 +205,57 @@ def test_projection_of_identity_is_identity():
     assert rep.P_matrix == ExactMatrix.identity(3)
     assert rep.R_matrix.is_zero()
     assert rep.sub_projectives_used == []
+
+
+def _assert_range_projection(columns, dim):
+    """Symmetric, idempotent, fixing every column and of the columns' rank:
+    these properties determine the orthogonal projection onto their span."""
+    proj = range_projection(columns, dim)
+    assert (proj.rows, proj.cols) == (dim, dim)
+    assert proj.transpose() == proj
+    assert proj @ proj == proj
+    cols = ExactMatrix(dim, len(columns), {
+        (r, c): v for c, col in enumerate(columns) for r, v in col.items()
+    })
+    assert proj @ cols == cols
+    assert matrix_rank(proj) == rank_of_vectors(columns)
+
+
+def test_range_projection_random_columns():
+    rng = Random(12)
+    _assert_range_projection([], 3)
+    _assert_range_projection([{}, {}], 2)
+    for _ in range(60):
+        dim = rng.randint(1, 6)
+        columns = []
+        for _ in range(rng.randint(0, 7)):
+            roll = rng.random()
+            if columns and roll < 0.25:
+                a, b = rng.choice(columns), rng.choice(columns)
+                x = rng.randint(-2, 2)
+                y = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                col = {r: x * a.get(r, 0) + y * b.get(r, 0) for r in a | b}
+            elif roll < 0.35:
+                col = {}
+            else:
+                col = {r: rng.randint(-3, 3) for r in range(dim) if rng.random() < 0.6}
+            columns.append({r: v for r, v in col.items() if v})
+        _assert_range_projection(columns, dim)
+
+
+def test_range_projection_sub_projective_columns():
+    sample = family_category("S+", 4)
+    members = [p for p in sorted(sample.iter_members(k=2, l=2)) if is_projective(p)]
+    assert members
+    for p in members:
+        for n in (2, 3):
+            columns = [
+                c
+                for q in sub_projectives(p, sample)
+                for c in t_map(q, n).columns()
+                if c
+            ]
+            _assert_range_projection(columns, n**2)
 
 
 def test_projection_rank_arithmetic_splus():
