@@ -8,9 +8,12 @@ product of matrices matches the tensor product of partitions.
 
 T_p is built from per-block place weights: a block's row (column) weight
 sums the place values of its lower (upper) points, and every labelling of
-the blocks by 0..n-1 puts a 1 at the weighted sums.  P_p is T_p / n^b(p,p)
-minus the orthogonal projection onto the ranges of the smaller projectives,
-which exact Gram-Schmidt builds as E D^{-1} E^t.
+the blocks by 0..n-1 puts a 1 at the weighted sums.  Intertwiner ranks
+come from the Gram matrix <T_p, T_q> = n^|p v q| (|p v q| the block count
+of the join) when it is shorter than the n^(k+l) entries of a T_p, and
+from the T_p themselves otherwise.  P_p is T_p / n^b(p,p) minus the
+orthogonal projection onto the ranges of the smaller projectives, which
+exact Gram-Schmidt builds as E D^{-1} E^t.
 
 The colors of a partition never enter T_p; only the block structure does.
 """
@@ -188,6 +191,14 @@ def delta_p(
     return 1
 
 
+def _check_size(k: int, l: int, n: int) -> None:
+    if n < 1:
+        raise ValueError("n must be positive")
+    cap = _entry_cap()
+    if n ** max(k, l) > cap:
+        raise SizeOverflow(f"n^max(k,l) = {n}^{max(k, l)} exceeds the cap {cap}")
+
+
 def t_map(p: ColoredPartition, n: int) -> ExactMatrix:
     """The 0/1 matrix of T_p at size n, shape n^l by n^k.
 
@@ -197,13 +208,7 @@ def t_map(p: ColoredPartition, n: int) -> ExactMatrix:
     0..n-1, extended one block at a time, puts a 1 at
     (sum_b v_b row_b, sum_b v_b col_b).
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    cap = _entry_cap()
-    if n ** max(p.k, p.l) > cap:
-        raise SizeOverflow(
-            f"n^max(k,l) = {n}^{max(p.k, p.l)} exceeds the cap {cap}"
-        )
+    _check_size(p.k, p.l, n)
     k, top = p.k, p.k + p.l
     cells = [(0, 0)]
     for b in p.blocks:
@@ -211,6 +216,34 @@ def t_map(p: ColoredPartition, n: int) -> ExactMatrix:
         col_w = sum(n ** (k - x) for x in b if x <= k)
         cells = [(r + v * row_w, c + v * col_w) for r, c in cells for v in range(n)]
     return ExactMatrix(n**p.l, n**p.k, dict.fromkeys(cells, 1))
+
+
+def join_blocks(p: ColoredPartition, q: ColoredPartition) -> int:
+    """|p v q|: the block count of the finest common coarsening of p and q.
+
+    The blocks of p are union-find nodes; each block of q merges the blocks
+    of p that it meets, and every merge removes one block.
+    """
+    if p.points != q.points:
+        raise ShapeMismatch("the join needs partitions of the same points")
+    owner = [0] * (p.points + 1)
+    for i, b in enumerate(p.blocks):
+        for x in b:
+            owner[x] = i
+    parent = list(range(len(p.blocks)))
+    count = len(p.blocks)
+    for b in q.blocks:
+        root = owner[b[0]]
+        while parent[root] != root:
+            root = parent[root]
+        for x in b[1:]:
+            other = owner[x]
+            while parent[other] != other:
+                other = parent[other]
+            if other != root:
+                parent[other] = root
+                count -= 1
+    return count
 
 
 def check_functoriality(p: ColoredPartition, q: ColoredPartition, n: int) -> bool:
@@ -314,17 +347,34 @@ def intertwiner_dim(
     """Rank of {T_p : p all-white in C(k,l)} plus a greedy independent basis.
 
     The partitions are visited in canonical order, so the basis is the
-    lexicographically earliest maximal independent subset.
+    lexicographically earliest maximal independent subset.  Each T_p is
+    eliminated in the shorter of two exact coordinates: its column of the
+    Gram matrix G = (<T_p, T_q>) = (n^|p v q|) over the m members when
+    m <= n^(k+l), else its n^(k+l) entries.  Over Q, G c = 0 gives
+    |sum_q c_q T_q|^2 = c^t G c = 0, so the columns of G have exactly the
+    dependencies of the T_p and both give the same greedy basis.  The
+    entry cap bounds n^max(k,l), as in t_map; it does not bound m.
     """
     if k + l > sample.max_points:
         raise ShapeMismatch(
             f"shape ({k},{l}) exceeds the sample bound {sample.max_points}"
         )
+    members = sorted(sample.iter_members(k=k, l=l, all_white=True))
+    if not members:
+        return 0, []
+    _check_size(k, l, n)
+    m = len(members)
+    if m <= n ** (k + l):
+        power = [n**b for b in range(k + l + 1)]
+        gram = [[0] * m for _ in members]
+        for i, p in enumerate(members):
+            for j in range(i, m):
+                gram[i][j] = gram[j][i] = power[join_blocks(p, members[j])]
+        vectors = (dict(enumerate(col)) for col in gram)
+    else:
+        vectors = (t_map(p, n).flatten() for p in members)
     red = IntRowReducer()
-    basis = []
-    for p in sorted(sample.iter_members(k=k, l=l, all_white=True)):
-        if red.add(t_map(p, n).flatten()):
-            basis.append(p)
+    basis = [p for p, vec in zip(members, vectors) if red.add(vec)]
     return red.rank, basis
 
 

@@ -14,7 +14,9 @@ from easyqg import (
     color_counts,
     family_category,
     is_noncrossing,
+    t_map,
 )
+from easyqg.tmaps import IntRowReducer
 
 
 def random_partition(rng: Random, max_points: int = 8) -> ColoredPartition:
@@ -92,6 +94,14 @@ def naive_rank(vectors: list[dict[int, int]], dim: int) -> int:
         rank += 1
         col += 1
     return rank
+
+
+def vector_intertwiner_dim(sample, k: int, l: int, n: int):
+    """``intertwiner_dim`` on the flattened T_p alone: rank and greedy basis."""
+    red = IntRowReducer()
+    members = sorted(sample.iter_members(k=k, l=l, all_white=True))
+    basis = [p for p in members if red.add(t_map(p, n).flatten())]
+    return red.rank, basis
 
 
 def compositions(total: int, max_part: int) -> list[tuple[int, ...]]:

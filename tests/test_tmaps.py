@@ -38,7 +38,8 @@ from easyqg import (
     t_map,
     tensor,
 )
-from easyqg.tmaps import range_projection, rank_of_vectors, sub_projectives
+from easyqg import tmaps
+from easyqg.tmaps import join_blocks, range_projection, rank_of_vectors, sub_projectives
 
 import helpers
 
@@ -183,6 +184,68 @@ def test_s_plus_hom_1_1():
     assert dim == 2
     assert identity() in basis
     assert ColoredPartition(1, 1, "w", "w", [(1,), (2,)]) in basis
+
+
+def test_gram_entries_are_join_powers():
+    """<T_p, T_q> = n^|p v q| for every pair of all-white noncrossing
+    diagrams of one shape with at most 5 points, and for crossing pairs."""
+    by_shape = {}
+    for p in helpers.all_nc_structures(5):
+        by_shape.setdefault((p.k, p.l), []).append(p)
+    pairs = [(p, q) for group in by_shape.values() for p in group for q in group]
+    rng = Random(13)
+    crossing = []
+    while len(crossing) < 40:
+        p = helpers.random_partition(rng, max_points=5)
+        q = helpers.random_partition(rng, max_points=5)
+        if (p.k, p.l) == (q.k, q.l) and not (is_noncrossing(p) and is_noncrossing(q)):
+            crossing.append((p, q))
+    for n in (1, 2, 3):
+        maps = {}
+        for p, q in pairs + crossing:
+            tp = maps.setdefault(p, t_map(p, n)).entries
+            tq = maps.setdefault(q, t_map(q, n)).entries
+            inner = sum(v * tq.get(key, 0) for key, v in tp.items())
+            assert inner == n ** join_blocks(p, q)
+            assert join_blocks(p, q) == join_blocks(q, p)
+
+
+def test_intertwiner_dim_matches_vector_oracle():
+    """Same rank and basis as the flattened T_p, in both coordinates."""
+    gram, vector, deficient = set(), set(), set()
+    for family, s in (("O+", None), ("S+", None), ("H+", 2)):
+        sample = family_category(family, 6, s=s)
+        for k, l in ((k, l) for k in range(7) for l in range(7 - k)):
+            m = len(list(sample.iter_members(k=k, l=l, all_white=True)))
+            for n in (1, 2, 3, 4):
+                dim, basis = intertwiner_dim(sample, k, l, n)
+                assert (dim, basis) == helpers.vector_intertwiner_dim(sample, k, l, n)
+                if m:
+                    (gram if m <= n ** (k + l) else vector).add((family, k, l, n))
+                if dim < m:
+                    deficient.add((family, n))
+    assert len(gram) > 20 and len(vector) > 20
+    assert {("S+", 1), ("S+", 2), ("S+", 3), ("O+", 1), ("H+", 1), ("H+", 2)} <= deficient
+    # noncrossing pairings are independent from n = 2 on (Temperley-Lieb)
+    assert ("O+", 2) not in deficient
+    assert ("S+", 3, 3, 3) in gram and ("S+", 3, 3, 2) in vector
+
+
+def test_intertwiner_dim_takes_the_shorter_coordinates(monkeypatch):
+    """T_p are built only when the m members outnumber its n^(k+l) entries."""
+    built = []
+
+    def counting_t_map(p, n):
+        built.append(p)
+        return t_map(p, n)
+
+    monkeypatch.setattr(tmaps, "t_map", counting_t_map)
+    sample = family_category("S+", 6)
+    # m = 132 members of shape (3,3), against 2^6 = 64 and 3^6 = 729 entries
+    for n, expected in ((2, 132), (3, 0)):
+        built.clear()
+        intertwiner_dim(sample, 3, 3, n)
+        assert len(built) == expected
 
 
 def test_rank_matches_naive_oracle():
