@@ -17,12 +17,14 @@ Two ways to build a sample:
   (H+ with s = 1 coincides with S+.)  The tests verify at small bounds
   that these predicates agree with the generated closures.
 
-Membership in a family is one per-block rule (``_block_ok``).  A memoized
-table of the admissible colorings of each block drives iteration, and
-``member_count`` multiplies the table's per-block counts instead of
-building members, so S+ at bound 8 (3.8 million members) is counted from
-17,577 shapes.  ``k_param`` reads k(C) off the same table shape by
-shape, building no member either.
+A category is closed under rotation, so the m + 1 cuts of a boundary word
+(``partitions.from_boundary``) are all members or none.  Membership in a
+family is one rule per block, read off its boundary colors (``_block_ok``).
+A memoized table of each block size's admissible boundary colorings drives
+iteration, and ``member_count`` sums (m + 1) times the product of the
+table sizes over the structures, so S+ at bound 8 (3.8 million members) is
+counted from 2,056 structures.  ``k_param`` reads the same tables,
+building no member either.
 """
 
 from __future__ import annotations
@@ -41,9 +43,14 @@ from .partitions import (
     WHITE,
     ColoredPartition,
     b_block,
+    boundary_colors,
+    boundary_points,
+    charge,
     color_counts,
     compose,
+    cut_words,
     four_block_wwbb,
+    from_boundary,
     involute,
     is_noncrossing,
     rotate,
@@ -102,11 +109,9 @@ class PartitionCategorySample:
             return p in self._members
         if p.points > self.max_points or not is_noncrossing(p):
             return False
-        colors = p.upper_colors + p.lower_colors
+        color = dict(zip(boundary_points(p.k, p.l), boundary_colors(p)))
         return all(
-            _block_ok(self.family, self.s, _block_signs(p.k, b),
-                      [colors[x - 1] for x in b])
-            for b in p.blocks
+            _block_ok(self.family, self.s, [color[x] for x in b]) for b in p.blocks
         )
 
     @property
@@ -131,20 +136,33 @@ class PartitionCategorySample:
                     continue
                 yield p
             return
-        shapes = _family_shapes(self.family, self.s, self.max_points, k, l, all_white)
-        for kk, ll, blocks, options in shapes:
-            for chosen in itertools.product(*options):
-                colors = [WHITE] * (kk + ll)
-                for b, block_colors in zip(blocks, chosen):
-                    for x, col in zip(b, block_colors):
-                        colors[x - 1] = col
-                yield ColoredPartition(kk, ll, colors[:kk], colors[kk:], blocks)
+        sizes = [
+            m for m in range(self.max_points + 1)
+            if m >= (k or 0) + (l or 0) and (k is None or l is None or m == k + l)
+        ]
+        for m, struct, tables in _family_structures(self.family, self.s, sizes):
+            cuts = [c for c in range(m + 1) if k in (None, c) and l in (None, m - c)]
+            if all_white:
+                for cut in cuts:
+                    word = _white_word(m, cut)
+                    if _admits(self.family, self.s, struct, word):
+                        yield from_boundary(cut, word, struct)
+                continue
+            words = []
+            for chosen in itertools.product(*tables):
+                word = [WHITE] * m
+                for b, block_colors in zip(struct, chosen):
+                    for i, col in zip(b, block_colors):
+                        word[i] = col
+                words.append(tuple(word))
+            for cut in cuts:
+                yield from cut_words(cut, words, struct)
 
     def member_count(self) -> int:
         if self._members is not None:
             return len(self._members)
-        shapes = _family_shapes(self.family, self.s, self.max_points)
-        return sum(math.prod(map(len, options)) for *_, options in shapes)
+        structures = _family_structures(self.family, self.s, range(self.max_points + 1))
+        return sum((m + 1) * math.prod(map(len, tables)) for m, _, tables in structures)
 
 
 # ---------------------------------------------------------------------------
@@ -241,77 +259,52 @@ def _nc_structures(m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(result)
 
 
-def _block_signs(k: int, block: tuple[int, ...]) -> tuple[int, ...]:
-    """+1 for each lower point of the block, -1 for each upper one."""
-    return tuple(1 if x > k else -1 for x in block)
-
-
-def _block_charge(signs: tuple[int, ...], colors: Sequence[str]) -> int:
-    """The block's share of c(p): a white point counts its sign, a black one minus it."""
-    return sum(sg if col == WHITE else -sg for sg, col in zip(signs, colors))
-
-
-def _block_ok(
-    family: str, s: int | None, signs: tuple[int, ...], colors: Sequence[str]
-) -> bool:
-    """The family's membership rule for one block, ``signs`` aligned with ``colors``."""
+def _block_ok(family: str, s: int | None, colors: Sequence[str]) -> bool:
+    """The family's membership rule for one block, read off its boundary colors."""
     if family == "S+":
         return True
     if family == "O+":
-        return len(signs) == 2
-    c = _block_charge(signs, colors)
+        return len(colors) == 2
     if family == "U+":
-        return len(signs) == 2 and c == 0
+        return len(colors) == 2 and charge(colors) == 0
     if family == "H+":
-        return c % s == 0
+        return charge(colors) % s == 0
     raise ValueError(f"unknown family {family!r}")
 
 
 @lru_cache(maxsize=None)
 def _block_colorings(
-    family: str, s: int | None, signs: tuple[int, ...], palette: tuple[str, ...]
+    family: str, s: int | None, size: int
 ) -> tuple[tuple[str, ...], ...]:
-    """The color tuples over ``palette`` that ``_block_ok`` admits, in product order."""
+    """The boundary colorings of a block of ``size`` points that ``_block_ok``
+    admits, in product order; they do not depend on where the word is cut."""
     return tuple(
         colors
-        for colors in itertools.product(palette, repeat=len(signs))
-        if _block_ok(family, s, signs, colors)
+        for colors in itertools.product(COLORS, repeat=size)
+        if _block_ok(family, s, colors)
     )
 
 
-def _family_shapes(
-    family: str, s: int | None, max_points: int, k=None, l=None, all_white=False
-) -> Iterator[tuple[int, int, tuple[tuple[int, ...], ...], list]]:
-    """``(k, l, blocks, per-block colorings)`` of every colorable shape.
-
-    Shapes come by point count, then noncrossing structure, then the split
-    into upper and lower points.  A structure is skipped when one of its
-    blocks admits no coloring at all: flipping a point's sign together with
-    its color keeps c, so that depends on the block size alone.
-    """
-    palette = (WHITE,) if all_white else COLORS
-    for m in range(0, max_points + 1):
-        if k is not None and l is not None and k + l != m:
-            continue
+def _family_structures(
+    family: str, s: int | None, sizes: Iterable[int]
+) -> Iterator[tuple[int, tuple[tuple[int, ...], ...], list]]:
+    """``(m, structure, per-block colorings)`` of every colorable structure
+    with m in ``sizes``; each of its m + 1 cuts gives the members of a shape."""
+    for m in sizes:
         for struct in _nc_structures(m):
-            if not all(_block_colorings(family, s, (1,) * len(b), COLORS) for b in struct):
-                continue
-            for kk in range(0, m + 1):
-                if k is not None and kk != k:
-                    continue
-                if l is not None and m - kk != l:
-                    continue
-                # positions -> point numbers (boundary order unrolled)
-                blocks = tuple(
-                    tuple(sorted(pos + 1 if pos < kk else m + kk - pos for pos in b))
-                    for b in struct
-                )
-                options = [
-                    _block_colorings(family, s, _block_signs(kk, b), palette)
-                    for b in blocks
-                ]
-                if all(options):
-                    yield kk, m - kk, blocks, options
+            tables = [_block_colorings(family, s, len(b)) for b in struct]
+            if all(tables):
+                yield m, struct, tables
+
+
+def _white_word(m: int, cut: int) -> list[str]:
+    """The all-white boundary word cut after ``cut``: upper points are black."""
+    return [BLACK] * cut + [WHITE] * (m - cut)
+
+
+def _admits(family: str, s: int | None, struct, word: Sequence[str]) -> bool:
+    """True when every block of ``struct`` admits its colors in ``word``."""
+    return all(_block_ok(family, s, [word[i] for i in b]) for b in struct)
 
 
 def family_category(
@@ -341,11 +334,12 @@ def k_param(sample: PartitionCategorySample) -> int:
 
     Every c(p) in a category is a multiple of k(C), so within a saturated
     sample the gcd equals the minimal positive c(p).  A family sample is
-    read per shape off its coloring table: c(p) adds over blocks, so the
-    shape's gcd is that of the first options' total charge and of every
-    charge difference within a block.  A closure sample goes through its
-    members.  Both stop once the running gcd reaches 1.  If
-    ``sample.saturated`` is false the value only reflects the bound.
+    read per structure off its coloring tables: c(p) adds over blocks and
+    does not depend on the cut, so the structure's gcd is that of the first
+    colorings' total charge and of every charge difference within a block.
+    A closure sample goes through its members.  Both stop once the running
+    gcd reaches 1.  If ``sample.saturated`` is false the value only reflects
+    the bound.
     """
     g = 0
     if sample.family is None:
@@ -354,15 +348,14 @@ def k_param(sample: PartitionCategorySample) -> int:
             if g == 1:
                 break
         return g
-    shapes = _family_shapes(sample.family, sample.s, sample.max_points)
-    for k, _, blocks, options in shapes:
+    structures = _family_structures(sample.family, sample.s, range(sample.max_points + 1))
+    for _, _, tables in structures:
         total = 0
-        for b, opts in zip(blocks, options):
-            signs = _block_signs(k, b)
-            first = _block_charge(signs, opts[0])
+        for table in tables:
+            first = charge(table[0])
             total += first
-            for colors in opts:
-                g = math.gcd(g, _block_charge(signs, colors) - first)
+            for colors in table:
+                g = math.gcd(g, charge(colors) - first)
         g = math.gcd(g, total)
         if g == 1:
             break

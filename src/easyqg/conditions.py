@@ -141,14 +141,13 @@ def check_c2_partition_proxy(
 
     Hom(u^l, u^(l+t)) is spanned by the all-white members of C(l, l+t),
     and every all-white member has c(p) = l_p - k_p, so the candidate gap
-    is the minimal positive l - k over all-white members.  ``k`` is
-    k(C) as ``k_param`` gives it; it selects the witness shape.
+    is the minimal positive l - k over all-white members.
+    ``k`` is k(C) as ``k_param`` gives it; it selects the witness shape.
     """
-    k_0 = None
-    for p in sample.iter_members(all_white=True):
-        gap = p.l - p.k
-        if gap > 0 and (k_0 is None or gap < k_0):
-            k_0 = gap
+    k_0 = min(
+        (p.l - p.k for p in sample.iter_members(all_white=True) if p.l > p.k),
+        default=None,
+    )
     if k_0 is None:
         return FAILS, None, (
             f"no all-white member with more lower than upper points within "

@@ -11,11 +11,18 @@ Conventions fixed here and relied on everywhere else:
 * ``compose(q, p)`` stacks ``p`` *above* ``q`` (so it models "q after p" on
   linear maps) and also returns the number of blocks that were swallowed
   entirely by the middle row.
-* Crossings are tested in the boundary cyclic order: upper row left to
-  right, then lower row right to left.  Cutting the circle between the
-  lower-left and upper-left point makes this a linear stack test.
+* The boundary word lists the points in cyclic order, upper row left to
+  right, then lower row right to left (``boundary_points``), with colors
+  inverted on the upper row (``boundary_colors``); a diagram is its word
+  cut after ``k`` positions (``from_boundary``; ``cut_words`` cuts many
+  words over one block structure).  A boundary-white point adds 1 to
+  c(p), a boundary-black one subtracts 1 (``charge``).
+  Crossings are tested along the word, a linear stack test.
 * Rotations move the outermost point of one row to the same side of the
-  other row; the moved point changes color but keeps its block.
+  other row; the moved point changes color but keeps its block and its
+  boundary color.  So UR and LR only move the cut; UL and LL also turn
+  the word by one position, as the moved point crosses the seam at the
+  left.
 
 Canonical text form: ``P(k,l;U;L;B)`` where U and L are color strings over
 {w, b} and B lists the blocks in canonical order, e.g. the white identity
@@ -34,14 +41,64 @@ BLACK = "b"
 COLORS = (WHITE, BLACK)
 
 
+_FLIPPED = {WHITE: BLACK, BLACK: WHITE}
+
+
 def flip_color(color: str) -> str:
-    return BLACK if color == WHITE else WHITE
+    return _FLIPPED[color]
+
+
+def boundary_points(k: int, l: int) -> tuple[int, ...]:
+    """Position -> point: upper row left to right, then lower row right to left."""
+    return (*range(1, k + 1), *range(k + l, k, -1))
+
+
+def boundary_colors(p: "ColoredPartition") -> tuple[str, ...]:
+    """The boundary color at each position, in the order of ``boundary_points``:
+    the upper row's colors inverted, then the lower row's reversed."""
+    return (*map(_FLIPPED.__getitem__, p.upper_colors), *p.lower_colors[::-1])
+
+
+def boundary_blocks(p: "ColoredPartition") -> list[list[int]]:
+    """The blocks of p as lists of positions."""
+    position = {x: i for i, x in enumerate(boundary_points(p.k, p.l))}
+    return [[position[x] for x in b] for b in p.blocks]
+
+
+def cut_words(
+    k: int, words: Iterable[Sequence[str]], position_blocks: Sequence[Sequence[int]]
+) -> Iterator["ColoredPartition"]:
+    """The diagram of each boundary word in ``words`` over the same
+    ``position_blocks``, cut after ``k`` positions."""
+    l = sum(map(len, position_blocks)) - k
+    points = boundary_points(k, l)
+    blocks = [[points[i] for i in b] for b in position_blocks]
+    for colors in words:
+        # A list, not a bare map: tuple() of a map guesses its length and
+        # resizes, and such tuples pile up in CPython's tuple free lists.
+        yield ColoredPartition(
+            k, l, [*map(_FLIPPED.__getitem__, colors[:k])], colors[k:][::-1], blocks
+        )
+
+
+def from_boundary(
+    k: int, colors: Sequence[str], position_blocks: Sequence[Sequence[int]]
+) -> "ColoredPartition":
+    """The diagram of the boundary word ``colors`` and ``position_blocks``,
+    cut after ``k`` positions; inverts ``boundary_colors`` and
+    ``boundary_blocks``."""
+    return next(cut_words(k, [colors], position_blocks))
+
+
+def charge(colors: Iterable[str]) -> int:
+    """The share of c(p) of points with these boundary colors: white +1, black -1."""
+    return sum(1 if c == WHITE else -1 for c in colors)
 
 
 class ColoredPartition:
     """An immutable colored partition in canonical form."""
 
-    __slots__ = ("k", "l", "upper_colors", "lower_colors", "blocks", "_hash")
+    __slots__ = ("k", "l", "points", "upper_colors", "lower_colors", "blocks", "_hash")
 
     def __init__(
         self,
@@ -63,6 +120,7 @@ class ColoredPartition:
             raise ValueError("blocks must be disjoint, nonempty and cover 1..k+l")
         self.k = k
         self.l = l
+        self.points = k + l
         self.upper_colors = upper
         self.lower_colors = lower
         self.blocks = canon
@@ -101,10 +159,6 @@ class ColoredPartition:
         return to_literal(self)
 
     # -- derived data ---------------------------------------------------
-
-    @property
-    def points(self) -> int:
-        return self.k + self.l
 
     def all_white(self) -> bool:
         return all(c == WHITE for c in self.upper_colors + self.lower_colors)
@@ -263,18 +317,13 @@ def compose(q: ColoredPartition, p: ColoredPartition) -> tuple[ColoredPartition,
 
 
 def involute(p: ColoredPartition) -> ColoredPartition:
-    """Reflect p at the horizontal axis."""
-
-    def reflect(x: int) -> int:
-        # old upper i -> new lower l+i, old lower k+j -> new upper j
-        return p.l + x if x <= p.k else x - p.k
-
-    return ColoredPartition(
+    """Reflect p at the horizontal axis: reverse the boundary word, invert
+    every color and cut after ``l`` positions."""
+    last = p.points - 1
+    return from_boundary(
         p.l,
-        p.k,
-        p.lower_colors,
-        p.upper_colors,
-        (tuple(reflect(x) for x in b) for b in p.blocks),
+        [flip_color(c) for c in reversed(boundary_colors(p))],
+        [[last - i for i in b] for b in boundary_blocks(p)],
     )
 
 
@@ -289,59 +338,22 @@ def rotate(p: ColoredPartition, corner: str) -> ColoredPartition:
     """
     if corner not in CORNERS:
         raise ValueError(f"corner must be one of {CORNERS}")
-    k, l = p.k, p.l
-    if corner in ("UL", "UR"):
-        if k == 0:
-            raise EmptyRow("upper row is empty")
-        if corner == "UL":
-            # old upper 1 -> new lower-left (number k); uppers shift down by 1
-            relabel = {1: k}
-            for i in range(2, k + 1):
-                relabel[i] = i - 1
-            for j in range(k + 1, k + l + 1):
-                relabel[j] = j
-            upper = p.upper_colors[1:]
-            lower = (flip_color(p.upper_colors[0]),) + p.lower_colors
-        else:
-            # old upper k -> new lower-right (number k+l); lowers shift by -1
-            relabel = {k: k + l}
-            for i in range(1, k):
-                relabel[i] = i
-            for j in range(k + 1, k + l + 1):
-                relabel[j] = j - 1
-            upper = p.upper_colors[:-1]
-            lower = p.lower_colors + (flip_color(p.upper_colors[-1]),)
-        new_k, new_l = k - 1, l + 1
-    else:
-        if l == 0:
-            raise EmptyRow("lower row is empty")
-        if corner == "LL":
-            # old lower-left (k+1) -> new upper 1; uppers shift up by 1
-            relabel = {k + 1: 1}
-            for i in range(1, k + 1):
-                relabel[i] = i + 1
-            for j in range(k + 2, k + l + 1):
-                relabel[j] = j
-            upper = (flip_color(p.lower_colors[0]),) + p.upper_colors
-            lower = p.lower_colors[1:]
-        else:
-            # old lower-right (k+l) -> new upper k+1; other lowers shift by +1
-            relabel = {k + l: k + 1}
-            for i in range(1, k + 1):
-                relabel[i] = i
-            for j in range(k + 1, k + l):
-                relabel[j] = j + 1
-            upper = p.upper_colors + (flip_color(p.lower_colors[-1]),)
-            lower = p.lower_colors[:-1]
-        new_k, new_l = k + 1, l - 1
-    return ColoredPartition(
-        new_k, new_l, upper, lower, (tuple(relabel[x] for x in b) for b in p.blocks)
+    if corner[0] == "U" and p.k == 0:
+        raise EmptyRow("upper row is empty")
+    if corner[0] == "L" and p.l == 0:
+        raise EmptyRow("lower row is empty")
+    move = -1 if corner[0] == "U" else 1
+    turn = move if corner[1] == "L" else 0
+    colors = boundary_colors(p)
+    return from_boundary(
+        p.k + move,
+        colors[-turn:] + colors[:-turn],
+        [[(i + turn) % p.points for i in b] for b in boundary_blocks(p)],
     )
 
 
 def is_noncrossing(p: ColoredPartition) -> bool:
-    """True iff no two blocks interleave in the boundary cyclic order."""
-    order = list(range(1, p.k + 1)) + list(range(p.k + p.l, p.k, -1))
+    """True iff no two blocks interleave along the boundary word."""
     block_of = {}
     remaining = {}
     for idx, b in enumerate(p.blocks):
@@ -350,7 +362,7 @@ def is_noncrossing(p: ColoredPartition) -> bool:
             block_of[x] = idx
     stack: list[int] = []
     opened: set[int] = set()
-    for point in order:
+    for point in boundary_points(p.k, p.l):
         b = block_of[point]
         if stack and stack[-1] == b:
             pass
@@ -388,18 +400,11 @@ def precedes(q: ColoredPartition, p: ColoredPartition) -> bool:
 
 
 def color_counts(p: ColoredPartition) -> tuple[int, int, int]:
-    """Return (c_white, c_black, c) with c = c_white - c_black.
-
-    c_white counts lower white plus upper black points, c_black the rest;
-    c is invariant under all four rotations.
-    """
-    c_w = sum(1 for c in p.lower_colors if c == WHITE) + sum(
-        1 for c in p.upper_colors if c == BLACK
-    )
-    c_b = sum(1 for c in p.lower_colors if c == BLACK) + sum(
-        1 for c in p.upper_colors if c == WHITE
-    )
-    return c_w, c_b, c_w - c_b
+    """Return (c_white, c_black, c): the boundary-white and boundary-black
+    point counts and c = c_white - c_black, which rotations keep."""
+    colors = boundary_colors(p)
+    c_w = colors.count(WHITE)
+    return c_w, len(colors) - c_w, charge(colors)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 from random import Random
 
 from easyqg import (
@@ -50,28 +51,58 @@ def all_nc_structures(max_points: int) -> list[ColoredPartition]:
     return sorted(sample.iter_members(all_white=True))
 
 
+@lru_cache(maxsize=None)
+def white_noncrossing(max_points: int) -> tuple[ColoredPartition, ...]:
+    """Every all-white noncrossing partition with at most max_points points:
+    each set partition of the points (restricted-growth strings), cut into
+    rows every way, kept when noncrossing."""
+    out = []
+    for m in range(max_points + 1):
+        for labels in restricted_growth_strings(m):
+            blocks: dict[int, list[int]] = {}
+            for point, lab in enumerate(labels, start=1):
+                blocks.setdefault(lab, []).append(point)
+            for k in range(m + 1):
+                p = ColoredPartition(k, m - k, WHITE * k, WHITE * (m - k), blocks.values())
+                if is_noncrossing(p):
+                    out.append(p)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def colored_noncrossing(max_points: int) -> tuple[ColoredPartition, ...]:
+    """Every colored noncrossing partition with at most max_points points."""
+    return tuple(
+        ColoredPartition(p.k, p.l, colors[: p.k], colors[p.k :], p.blocks)
+        for p in white_noncrossing(max_points)
+        for colors in itertools.product((WHITE, BLACK), repeat=p.points)
+    )
+
+
 def nc_structures_oracle(m: int) -> list[tuple[tuple[int, ...], ...]]:
     """Noncrossing set partitions of positions 0..m-1, in the order of
     ``categories._nc_structures``: every restricted-growth string in
     lexicographic order, kept when ``is_noncrossing`` accepts it as an
     all-upper partition (whose boundary order is the linear order)."""
     out = []
-
-    def grow(labels: tuple[int, ...], top: int) -> None:
-        if len(labels) == m:
-            blocks: dict[int, list[int]] = {}
-            for pos, lab in enumerate(labels):
-                blocks.setdefault(lab, []).append(pos)
-            struct = tuple(tuple(b) for b in blocks.values())
-            points = [[pos + 1 for pos in b] for b in struct]
-            if is_noncrossing(ColoredPartition(m, 0, WHITE * m, "", points)):
-                out.append(struct)
-            return
-        for lab in range(top + 2):
-            grow(labels + (lab,), max(top, lab))
-
-    grow((), -1)
+    for labels in restricted_growth_strings(m):
+        blocks: dict[int, list[int]] = {}
+        for pos, lab in enumerate(labels):
+            blocks.setdefault(lab, []).append(pos)
+        struct = tuple(tuple(b) for b in blocks.values())
+        points = [[pos + 1 for pos in b] for b in struct]
+        if is_noncrossing(ColoredPartition(m, 0, WHITE * m, "", points)):
+            out.append(struct)
     return out
+
+
+def restricted_growth_strings(m: int, labels: tuple[int, ...] = ()):
+    """Every set partition of m items as its labels, in lexicographic order."""
+    if len(labels) == m:
+        yield labels
+        return
+    for lab in range(max(labels, default=-1) + 2):
+        yield from restricted_growth_strings(m, labels + (lab,))
 
 
 def naive_rank(vectors: list[dict[int, int]], dim: int) -> int:

@@ -102,8 +102,12 @@ def test_family_iteration_consistent_with_predicate(family, s):
     members = list(sample.iter_members())
     assert len(members) == len(set(members))
     assert sample.member_count() == sum(1 for _ in sample.iter_members())
-    for p in members:
-        assert p in sample
+    # every colored noncrossing partition is in the sample exactly when
+    # iteration yields it
+    yielded = set(members)
+    assert yielded <= set(helpers.colored_noncrossing(6))
+    for p in helpers.colored_noncrossing(6):
+        assert (p in sample) == (p in yielded)
     # every slice is the full iteration filtered, in the same order
     for white in (False, True):
         expected = [p for p in members if p.all_white() or not white]

@@ -22,6 +22,8 @@ from easyqg import (
 )
 from easyqg.conditions import FAILS, HOLDS, UNDETERMINED
 
+import helpers
+
 
 def test_check_c1_witnesses():
     status, witnesses = check_c1(get_ring("O+"), 6)
@@ -81,6 +83,26 @@ def test_u_plus_proxy_fails():
     assert status == FAILS
     assert witness is None
     assert "no all-white member" in note
+
+
+@pytest.mark.parametrize(
+    "family,s",
+    [("O+", None), ("U+", None), ("S+", None), ("H+", 1), ("H+", 2), ("H+", 3),
+     ("H+", 4)],
+)
+def test_c2_proxy_gap_matches_member_loop(family, s):
+    """The gap read off the structures is the least positive l - k over the
+    all-white members, each built and tested with ``in``."""
+    top = family_category(family, 8, s=s)
+    white = [p for p in helpers.white_noncrossing(8) if p in top]
+    for bound in range(2, 9):
+        sample = family_category(family, bound, s=s)
+        gaps = [p.l - p.k for p in white if p.points <= bound and p.l > p.k]
+        status, witness, _ = check_c2_partition_proxy(sample, k_param(sample))
+        if gaps:
+            assert witness[1] == min(gaps)
+        else:
+            assert (status, witness) == (FAILS, None)
 
 
 @pytest.mark.parametrize(

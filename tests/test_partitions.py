@@ -5,6 +5,8 @@ from __future__ import annotations
 from random import Random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from easyqg import (
     BLACK,
@@ -34,7 +36,17 @@ from easyqg import (
     to_literal,
     vertical_pair,
 )
-from easyqg.partitions import CORNERS, INVERSE_CORNER
+from easyqg.partitions import (
+    COLORS,
+    CORNERS,
+    INVERSE_CORNER,
+    boundary_blocks,
+    boundary_colors,
+    boundary_points,
+    cut_words,
+    flip_color,
+    from_boundary,
+)
 
 import helpers
 
@@ -210,6 +222,14 @@ def test_rotate_examples():
     assert rotate(singleton(WHITE), "LL") == singleton(BLACK, lower=False)
     rotated = rotate(identity(WHITE), "UL")
     assert rotated == ColoredPartition(0, 2, "", "bw", [(1, 2)])
+    p = parse_partition("P(2,1;wb;w;{{1,3},{2}})")
+    # the black upper-right singleton becomes a white lower-right one
+    assert rotate(p, "UR") == parse_partition("P(1,2;w;ww;{{1,2},{3}})")
+    # the white lower-right point becomes a black upper-right one, still with 1
+    assert rotate(p, "LR") == parse_partition("P(3,0;wbb;;{{1,3},{2}})")
+    q = parse_partition("P(1,2;b;wb;{{1},{2,3}})")
+    assert rotate(q, "UR") == parse_partition("P(0,3;;wbw;{{1,2},{3}})")
+    assert rotate(q, "LR") == parse_partition("P(2,1;bw;w;{{1},{2,3}})")
 
 
 def test_rotate_inverses_and_c_invariance():
@@ -226,6 +246,93 @@ def test_rotate_inverses_and_c_invariance():
             r = rotate(p, corner)
             assert rotate(r, INVERSE_CORNER[corner]) == p
             assert color_counts(r)[2] == c
+
+
+# -- the boundary word (property tests) ------------------------------------
+
+laws = settings(derandomize=True, database=None)
+
+
+@st.composite
+def colored_partitions(draw, max_points: int = 9) -> ColoredPartition:
+    """Any colored partition: a restricted-growth string, a cut and colors."""
+    m = draw(st.integers(0, max_points))
+    k = draw(st.integers(0, m))
+    labels: list[int] = []
+    for _ in range(m):
+        labels.append(draw(st.integers(0, max(labels, default=-1) + 1)))
+    colors = draw(st.lists(st.sampled_from(COLORS), min_size=m, max_size=m))
+    blocks: dict[int, list[int]] = {}
+    for point, lab in enumerate(labels, start=1):
+        blocks.setdefault(lab, []).append(point)
+    return ColoredPartition(k, m - k, colors[:k], colors[k:], blocks.values())
+
+
+def word_of(p: ColoredPartition):
+    """The boundary colors and the set of position blocks of p."""
+    return boundary_colors(p), {frozenset(b) for b in boundary_blocks(p)}
+
+
+@laws
+@given(colored_partitions())
+def test_from_boundary_inverts_the_word(p):
+    points = boundary_points(p.k, p.l)
+    assert points == tuple(range(1, p.k + 1)) + tuple(reversed(range(p.k + 1, p.points + 1)))
+    assert [[points[i] for i in b] for b in boundary_blocks(p)] == [list(b) for b in p.blocks]
+    colors = boundary_colors(p)
+    assert colors[: p.k] == tuple(flip_color(c) for c in p.upper_colors)
+    assert colors[p.k :] == p.lower_colors[::-1]
+    assert from_boundary(p.k, colors, boundary_blocks(p)) == p
+
+
+@laws
+@given(colored_partitions())
+def test_cut_words_cuts_every_word_over_one_structure(p):
+    colors, blocks = word_of(p)
+    words = [colors, tuple(flip_color(c) for c in colors), colors[::-1]]
+    for k in range(p.points + 1):
+        cut = list(cut_words(k, words, boundary_blocks(p)))
+        assert [q.k for q in cut] == [k] * len(words)
+        assert [word_of(q) for q in cut] == [(w, blocks) for w in words]
+
+
+@laws
+@given(colored_partitions(), st.sampled_from(CORNERS))
+def test_rotation_moves_the_cut_and_turns_the_word(p, corner):
+    upper = corner in ("UL", "UR")
+    assume((p.k if upper else p.l) > 0)
+    r = rotate(p, corner)
+    assert r.k == (p.k - 1 if upper else p.k + 1)
+    # position j of r's word holds position j + turn of p's word
+    turn = {"UL": 1, "LL": -1}.get(corner, 0)
+    colors, blocks = word_of(p)
+    m = p.points
+    assert word_of(r) == (
+        tuple(colors[(j + turn) % m] for j in range(m)),
+        {frozenset((i - turn) % m for i in b) for b in blocks},
+    )
+
+
+@laws
+@given(colored_partitions())
+def test_involute_reverses_and_inverts_the_word(p):
+    r = involute(p)
+    colors, blocks = word_of(p)
+    last = p.points - 1
+    assert r.k == p.l
+    assert word_of(r) == (
+        tuple(flip_color(c) for c in reversed(colors)),
+        {frozenset(last - i for i in b) for b in blocks},
+    )
+
+
+@laws
+@given(colored_partitions(), st.sampled_from(CORNERS))
+def test_rotations_keep_c_and_noncrossing(p, corner):
+    assume((p.k if corner in ("UL", "UR") else p.l) > 0)
+    r = rotate(p, corner)
+    assert color_counts(r)[2] == color_counts(p)[2]
+    assert is_noncrossing(r) == is_noncrossing(p)
 
 
 # -- predicates ---------------------------------------------------------------
