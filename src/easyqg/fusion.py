@@ -1,4 +1,4 @@
-"""Fusion rings: SU(2)-type, SO(3)-type, and word rings over Z/sZ.
+"""Fusion rings: SU(2)-type, SO(3)-type (its even part), and word rings over Z/sZ.
 
 Irreducible labels are plain data: an integer k for the u_k families, a
 tuple of letters in {1, ..., s} for the word family (the class of 0 is
@@ -231,8 +231,8 @@ class SU2Ring(FusionRing):
         return cur
 
 
-class SO3Ring(FusionRing):
-    """Even labels u_{2k} with the same ladder rule; u_{2k} has degree k."""
+class SO3Ring(SU2Ring):
+    """The even sub-ladder u_{2k} of the SU(2) ladder; u_{2k} has degree k."""
 
     family = "so3"
 
@@ -241,9 +241,6 @@ class SO3Ring(FusionRing):
         if label % 2:
             raise OddLabel(f"SO(3)-type labels must be even, got {label}")
 
-    def trivial(self):
-        return 0
-
     def fundamental(self) -> dict:
         # the natural representation splits as trivial plus u_2
         return {0: 1, 2: 1}
@@ -251,22 +248,13 @@ class SO3Ring(FusionRing):
     def _pair(self, a: int, b: int) -> dict:
         self._check_even(a)
         self._check_even(b)
-        return {m: 1 for m in range(abs(a - b), a + b + 1, 2)}
-
-    def conjugate(self, label: int) -> int:
-        return label
+        return super()._pair(a, b)
 
     def _grade(self, label: int) -> int | None:
         return label // 2 if label >= 0 and label % 2 == 0 else None
 
-    def format_label(self, label: int) -> str:
-        return f"u{label}"
-
     def parse_label(self, text: str) -> int:
-        m = re.fullmatch(r"u(\d+)", text.strip())
-        if not m:
-            raise ParseError(f"bad label {text!r} for family {self.family}")
-        label = int(m.group(1))
+        label = super().parse_label(text)
         self._check_even(label)
         return label
 

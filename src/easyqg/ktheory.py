@@ -10,12 +10,15 @@ nest), and the maps
 then reads K_1 off kernel ranks and K_0 off cokernels with the connecting
 maps induced by psi.  It runs in one pass: each level multiplies its basis
 by beta once, and as multiplicities are positive the supports of these psi
-columns form the next basis; boundaries come from the ring's grading
-(``degree``), phi = psi minus the inclusion, and an O(nnz) certificate that
-[phi | e_complement] is unitriangular settles kernels, cokernels and the
-connecting map.  Smith normal form is the fallback for a step the
-certificate does not cover: the full (U, D, V) form uses the classical
-algorithm with deterministic pivoting, while cokernels of the large sparse
+columns form the next basis, sorted by the ring's order (``sort_key``);
+boundaries come from the ring's grading (``degree``), and phi = psi minus
+the inclusion.  An O(nnz) certificate that [phi | e_complement] is
+unitriangular settles kernels, cokernels and the connecting map: it reads
+the pivot of each column off the ring's order, so it needs no knowledge
+of the family.  A step it does not cover falls back to invariant factors
+of phi and psi, which give kernels and the cokernel but leave the
+connecting map unverified.  The full (U, D, V) Smith normal form uses the
+classical algorithm with deterministic pivoting, while the large sparse
 level matrices go through a unit-pivot sparse elimination with a dense
 fallback (same invariant factors, cross checked in the tests).
 """
@@ -26,14 +29,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import NotReachable, ShapeMismatch, WrongFamily
-from .fusion import (
-    DEFAULT_LEVEL_CAP,
-    FusionRing,
-    HWordRing,
-    SO3Ring,
-    SU2Ring,
-    _add_scaled,
-)
+from .fusion import DEFAULT_LEVEL_CAP, FusionRing, HWordRing, _add_scaled
 
 
 # ---------------------------------------------------------------------------
@@ -402,28 +398,6 @@ class LevelModule:
     psi: dict = field(default_factory=dict, compare=False, repr=False)
 
 
-def _leading_label(ring: FusionRing, label, k_0: int):
-    """The unique top term of phi(label); injective across the basis."""
-    if isinstance(ring, HWordRing):
-        return label + (1,) * k_0
-    if isinstance(ring, SU2Ring):
-        return label + k_0
-    if isinstance(ring, SO3Ring):
-        return label + 2 * k_0
-    raise WrongFamily(f"no leading-term rule for {type(ring).__name__}")
-
-
-def _grades(ring: FusionRing, labels, cap: int) -> dict:
-    """The order phi is triangular in: degree, then word length for words.
-
-    Degree alone is not enough for words: x + (1, 2) has the same degree as
-    the leading term x + (1, 1, 1) of phi(x), but it is shorter.
-    """
-    if isinstance(ring, HWordRing):
-        return {y: (ring.degree(y, cap), len(y)) for y in labels}
-    return {y: ring.degree(y, cap) for y in labels}
-
-
 def _support(psi: dict) -> set:
     """The labels of the psi columns: supp u^(a+k_0) when x runs over supp u^a."""
     return {y for col in psi.values() for y in col}
@@ -432,12 +406,14 @@ def _support(psi: dict) -> set:
 def build_levels(
     ring: FusionRing, fundamental: dict, k_0: int, levels: int
 ) -> list[LevelModule]:
-    """R_N, R_(N+k_0), ..., R_(N+levels*k_0) with bases sorted by (degree, label).
+    """R_N, R_(N+k_0), ..., R_(N+levels*k_0) with bases sorted by ``ring.sort_key``.
 
     Multiplicities are positive, so supp u^(a+k_0) is the union of the
     supports of psi(x) over x in supp u^a.  N is the least power inside that
-    union (the levels nest from there), each later basis is the union, and
-    a boundary is the labels of degree exactly the level's power.
+    union (the levels nest from there), and each later basis is the union.
+    A boundary is the labels of degree exactly the level's power: no label
+    of supp u^power has a larger degree, and the order sorts by degree
+    first, so the boundary is the trailing run of the basis.
     """
     if k_0 < 1:
         raise ValueError("k_0 must be >= 1")
@@ -456,8 +432,10 @@ def build_levels(
 
     def level(ell: int, basis: tuple, psi: dict) -> LevelModule:
         power = start + ell * k_0
-        boundary = tuple(x for x in basis if ring.degree(x, power) == power)
-        return LevelModule(ell, power, basis, boundary, psi)
+        cut = len(basis)
+        while cut and ring.degree(basis[cut - 1], power) == power:
+            cut -= 1
+        return LevelModule(ell, power, basis, basis[cut:], psi)
 
     out = []
     for ell in range(levels):
@@ -476,37 +454,33 @@ def psi_columns(ring: FusionRing, basis, beta: dict) -> dict:
     return {x: ring.multiply({x: 1}, beta) for x in basis}
 
 
-def _unitriangular(ring: FusionRing, k_0: int, psi: dict, grade: dict) -> bool:
+def _unitriangular(psi: dict, rank: dict) -> bool:
     """Certificate that [phi | e_complement] is unitriangular, in O(nnz).
 
-    It holds when every phi(x) has coefficient 1 at its leading label, the
-    leading labels are distinct, and each is the strict maximum of its
-    column, x included, under ``grade``.  Ordering the destination labels
-    by grade then makes phi, psi and [phi | e_complement] triangular with
-    unit pivots, so ker phi = ker psi = 0, coker phi is free on the
-    complement of the leading labels, and psi induces the identity on the
-    persisting classes.
+    The pivot of column x is the largest label of psi(x) in the ring's
+    order (``rank``).  The certificate holds when every pivot lies above x,
+    has coefficient 1 and is no other column's pivot.  phi(x) = psi(x) - x
+    then has the same pivot and coefficient, and sorting the columns by
+    pivot makes phi, psi and [phi | e_complement] triangular with unit
+    diagonal, so ker phi = ker psi = 0, coker phi is free on the labels
+    that are no pivot, and psi induces the identity on the persisting
+    classes.
     """
-    leads = set()
+    pivots = set()
     for x, col in psi.items():
-        lead = _leading_label(ring, x, k_0)
-        # lead != x once grade[x] < top, so phi and psi agree at lead
-        if col.get(lead) != 1 or lead in leads:
+        pivot = max(col, key=rank.__getitem__)
+        if rank[pivot] <= rank[x] or col[pivot] != 1 or pivot in pivots:
             return False
-        top = grade[lead]
-        if not grade[x] < top:
-            return False
-        for y in col:
-            if y != lead and not grade[y] < top:
-                return False
-        leads.add(lead)
+        pivots.add(pivot)
     return True
 
 
-def _snf_step(
-    ring: FusionRing, k_0: int, src: LevelModule, dst: LevelModule
-) -> "StepReport":
-    """One step read off Smith normal forms of phi, psi and [phi | e_complement]."""
+def _snf_step(src: LevelModule, dst: LevelModule) -> "StepReport":
+    """An uncertified step: kernels and cokernel from invariant factors.
+
+    Without the certificate no complement is known, so the connecting map
+    is left unverified.
+    """
     pos = {label: i for i, label in enumerate(dst.basis)}
     psi_entries = {
         (pos[y], j): mult
@@ -528,40 +502,15 @@ def _snf_step(
         len(dst.basis) - len(factors_phi),
         tuple(d for d in factors_phi if d > 1),
     )
-
-    # complement basis: destination labels that are not leading terms
-    leading = {}
-    injective = True
-    for j, x in enumerate(src.basis):
-        lead = _leading_label(ring, x, k_0)
-        if lead in leading or lead not in pos or phi_entries.get((pos[lead], j)) != 1:
-            injective = False
-            break
-        leading[lead] = x
-    complement = [x for x in dst.basis if x not in leading]
-    identity_connecting = False
-    matches = False
-    if injective:
-        matches = coker.free_rank == len(complement) and not coker.torsion
-        if len(src.basis) + len(complement) == len(dst.basis):
-            square = dict(phi_entries)
-            for i, c in enumerate(complement, start=len(src.basis)):
-                square[pos[c], i] = 1
-            factors_sq = invariant_factors(square)
-            identity_connecting = (
-                len(factors_sq) == len(dst.basis)
-                and all(d == 1 for d in factors_sq)
-                and matches
-            )
     return StepReport(
         src.level,
         dst.level,
         len(src.basis) - len(factors_phi),
         len(src.basis) - len(factors_psi),
         coker,
-        len(complement),
-        matches,
-        identity_connecting,
+        None,
+        False,
+        False,
     )
 
 
@@ -579,7 +528,7 @@ class StepReport:
     ker_rank_phi: int
     ker_rank_psi: int
     coker: FGAbelianGroup
-    complement_labels: int
+    complement_labels: int | None  # None when the step is not certified
     coker_rank_matches_complement: bool
     identity_on_persisting: bool
 
@@ -640,13 +589,14 @@ def k_groups(
 
     K_1 is the (stable) kernel rank of the phi maps; K_0 stabilizes when
     two consecutive cokernels agree and the connecting maps act as the
-    identity on the persisting classes, which is verified rather than
-    assumed (complement basis + unimodular change of basis).
+    identity on the persisting classes, which the certificate verifies
+    rather than assumes.
     """
     if levels < 1:
         raise ValueError("need at least one level step")
     mods = build_levels(ring, fundamental, k_0, levels)
-    grade = _grades(ring, mods[-1].basis, mods[-1].power)
+    # the top basis is sorted by the ring's order and holds every label
+    rank = {y: i for i, y in enumerate(mods[-1].basis)}
     # with phi = psi - inclusion, psi o phi = phi o psi says that psi(x) is
     # the same vector at consecutive levels (columns computed level by level)
     commutes = all(
@@ -656,13 +606,13 @@ def k_groups(
     )
     steps: list[StepReport] = []
     for src, dst in zip(mods, mods[1:]):
-        if _unitriangular(ring, k_0, src.psi, grade):
+        if _unitriangular(src.psi, rank):
             free = len(dst.basis) - len(src.basis)
             steps.append(StepReport(
                 src.level, dst.level, 0, 0, FGAbelianGroup(free), free, True, True
             ))
         else:
-            steps.append(_snf_step(ring, k_0, src, dst))
+            steps.append(_snf_step(src, dst))
 
     k1 = 0 if all(s.ker_rank_phi == 0 and s.ker_rank_psi == 0 for s in steps) else None
     if k1 is None:

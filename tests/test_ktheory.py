@@ -20,7 +20,8 @@ from easyqg import (
 )
 from easyqg.errors import WrongFamily
 from easyqg.fusion import HWordRing, SO3Ring, SU2Ring, _add_scaled
-from easyqg.ktheory import _leading_label, psi_columns
+from easyqg import ktheory
+from easyqg.ktheory import psi_columns
 
 import helpers
 
@@ -218,12 +219,25 @@ def test_k_groups_o_plus():
     assert all(s.identity_on_persisting for s in report.steps)
 
 
+def leading_label(ring, x, k_0: int):
+    """A top term of phi(x) per family, independent of the engine's order.
+
+    For words it is x followed by k_0 ones, which need not be the engine's
+    pivot: at s = 2, phi((1,)) holds (1, 1, 1) and the larger (2, 1).
+    """
+    if isinstance(ring, HWordRing):
+        return x + (1,) * k_0
+    if isinstance(ring, SO3Ring):
+        return x + 2 * k_0
+    return x + k_0
+
+
 def snf_step_oracle(ring, k_0, src, dst, beta) -> dict:
     """Step data from invariant factors of phi, psi and [phi | e_complement]."""
     phi, psi = step_matrices(ring, src, dst, beta)
     coker, ker_rank_phi = coker_and_kernel_rank(phi)
     _, ker_rank_psi = coker_and_kernel_rank(psi)
-    leads = {_leading_label(ring, x, k_0) for x in src.basis}
+    leads = {leading_label(ring, x, k_0) for x in src.basis}
     complement = [y for y in dst.basis if y not in leads]
     pos = {label: i for i, label in enumerate(dst.basis)}
     square = entries(phi)
@@ -297,12 +311,84 @@ def test_engine_falls_back_to_snf():
     beta = ring.power(2)
     assert report.steps[0].coker == FGAbelianGroup(1, (2,))
     assert not report.steps[0].identity_on_persisting
+    assert not report.steps[0].coker_rank_matches_complement
     for step, src, dst in zip(report.steps, report.levels, report.levels[1:]):
         oracle = snf_step_oracle(ring, 2, src, dst, beta)
         assert step.coker == oracle["coker"]
         assert step.ker_rank_phi == oracle["ker_rank_phi"]
         assert step.ker_rank_psi == oracle["ker_rank_psi"]
     assert not report.k0_stabilized
+
+
+def test_engine_falls_back_when_beta_is_the_unit():
+    # beta = u_0 makes phi = 0: each column's only label is x itself
+    ring = SU2Ring()
+    report = k_groups(ring, {0: 1}, 1, 2)
+    for step in report.steps:
+        assert (step.ker_rank_phi, step.ker_rank_psi) == (1, 0)
+        assert step.coker == FGAbelianGroup(1)
+        assert not step.identity_on_persisting
+    assert report.k1_rank == 1 and not report.k0_stabilized
+
+
+class TwinStepLadder(SU2Ring):
+    """u_0 is the unit and u_1 u_x = u_2j + u_(2j+1) for x in {2j - 1, 2j}.
+
+    Only a rule the engine can run, not a fusion ring: with beta = u_0 + u_1,
+    phi(u_(2j-1)) = phi(u_2j), and both columns have the top label
+    u_(2j+1) with coefficient 1.  u_x first shows in u^(x // 2 + 1).
+    """
+
+    def fundamental(self) -> dict:
+        return {0: 1, 1: 1}
+
+    def _pair(self, a: int, b: int) -> dict:
+        if not a or not b:
+            return {a + b: 1}
+        j = (a + 1) // 2
+        return {2 * j: 1, 2 * j + 1: 1}
+
+    def _grade(self, label: int) -> int | None:
+        return label // 2 + 1 if label else 0
+
+
+def test_engine_falls_back_on_a_repeated_pivot():
+    ring = TwinStepLadder()
+    report = k_groups(ring, ring.fundamental(), 1, 3)
+    assert [m.basis for m in report.levels] == [
+        (0,), (0, 1), (0, 1, 2, 3), (0, 1, 2, 3, 4, 5)
+    ]
+    *certified, shared = report.steps
+    assert [s.coker for s in certified] == [FGAbelianGroup(1), FGAbelianGroup(2)]
+    assert all(s.identity_on_persisting for s in certified)
+    # phi(u_1) = phi(u_2) = u_2 + u_3, while phi(u_0) = u_1, phi(u_3) = u_4 + u_5
+    assert (shared.ker_rank_phi, shared.ker_rank_psi) == (1, 0)
+    assert shared.coker == FGAbelianGroup(3)
+    assert not shared.identity_on_persisting
+    oracle = snf_step_oracle(ring, 1, report.levels[2], report.levels[3], ring.power(1))
+    assert shared.coker == oracle["coker"]
+    assert shared.ker_rank_phi == oracle["ker_rank_phi"]
+    assert shared.ker_rank_psi == oracle["ker_rank_psi"]
+
+
+@pytest.mark.parametrize(
+    "family,s,k_0,levels",
+    [("O+", None, 2, 40), ("S+", None, 1, 40), ("H+", 1, 1, 3), ("H+", 2, 2, 10),
+     ("H+", 3, 3, 6), ("H+", 4, 4, 4)],
+)
+def test_shipped_runs_are_certified(monkeypatch, family, s, k_0, levels):
+    # the K-theory runs of the benchmark: no step may fall back to SNF
+    def no_fallback(entries):
+        raise AssertionError("a step fell back to invariant factors")
+
+    monkeypatch.setattr(ktheory, "invariant_factors", no_fallback)
+    ring = get_ring(family, s)
+    report = k_groups(ring, ring.fundamental(), k_0, levels, family=family)
+    assert len(report.steps) == levels
+    assert all(
+        step.identity_on_persisting and step.coker_rank_matches_complement
+        for step in report.steps
+    )
 
 
 def test_k_groups_h1_starts_where_levels_nest():
