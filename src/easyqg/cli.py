@@ -139,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = fus_sub.add_parser("chaingroup")
     _add_common(sp)
     _add_family(sp)
-    sp.add_argument("--level-cap", type=int, default=10)
+    sp.add_argument("--level-cap", type=int, default=fusion_mod.SEARCH_LEVEL_CAP)
     sp = fus_sub.add_parser("dim")
     _add_common(sp)
     _add_family(sp)
@@ -151,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family(p_cond)
     p_cond.add_argument("--max-points", type=int, default=8)
     p_cond.add_argument("--degree-cap", type=int, default=6)
-    p_cond.add_argument("--level-cap", type=int, default=10)
+    p_cond.add_argument("--level-cap", type=int, default=fusion_mod.SEARCH_LEVEL_CAP)
 
     p_kth = sub.add_parser("ktheory", help="inductive-limit K-theory")
     _add_common(p_kth)
@@ -255,7 +255,9 @@ def _run_conditions(args) -> dict:
 def _run_ktheory(args) -> tuple[dict, bool]:
     s = _require_s(args)
     ring = fusion_mod.get_ring(args.family, s)
-    _, witness, note = conditions_mod.check_c2(ring, level_cap=10)
+    _, witness, note = conditions_mod.check_c2(
+        ring, level_cap=fusion_mod.SEARCH_LEVEL_CAP
+    )
     if witness is None:
         raise EasyQGError(f"no k0 for family {args.family}: {note}")
     k_0 = witness[1]

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from .categories import PartitionCategorySample, family_category, k_param
-from .fusion import FusionRing, get_ring
+from .fusion import SEARCH_LEVEL_CAP, FusionRing, get_ring
 from .partitions import (
     BLACK,
     WHITE,
@@ -230,7 +230,7 @@ def evaluate_conditions(
     s: int | None = None,
     max_points: int = 8,
     degree_cap: int = 6,
-    level_cap: int = 10,
+    level_cap: int = SEARCH_LEVEL_CAP,
 ) -> ConditionReport:
     sample = family_category(family, max_points, s=s)
     cp = classify_cp(sample)

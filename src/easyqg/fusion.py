@@ -31,6 +31,8 @@ from .errors import (
 )
 
 DEFAULT_LEVEL_CAP = 32
+# the powers of the fundamental that the chain-group and (C2) searches scan
+SEARCH_LEVEL_CAP = 10
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +380,7 @@ def get_ring(family: str, s: int | None = None) -> FusionRing:
     return ring
 
 
-def chain_group_order(ring: FusionRing, level_cap: int = 10) -> int:
+def chain_group_order(ring: FusionRing, level_cap: int = SEARCH_LEVEL_CAP) -> int:
     """Number of co-occurrence classes of irreducibles within the cap.
 
     Two labels are identified when they appear in a common tensor power of

@@ -8,12 +8,13 @@ product of matrices matches the tensor product of partitions.
 
 T_p is built from per-block place weights: a block's row (column) weight
 sums the place values of its lower (upper) points, and every labelling of
-the blocks by 0..n-1 puts a 1 at the weighted sums.  Intertwiner ranks
-come from the Gram matrix <T_p, T_q> = n^|p v q| (|p v q| the block count
-of the join) when it is shorter than the n^(k+l) entries of a T_p, and
-from the T_p themselves otherwise.  P_p is T_p / n^b(p,p) minus the
-orthogonal projection onto the ranges of the smaller projectives, which
-exact Gram-Schmidt builds as E D^{-1} E^t.
+the blocks by 0..n-1 puts a 1 at the weighted sums.  T_p is 1 exactly
+at the multi-indices whose kernel (the points grouped by equal labels)
+coarsens p, so it is the sum of the S_n-orbit maps of its coarsenings
+into at most n blocks.  Intertwiner ranks are ranks of these 0/1 rows
+over the coarsenings; no T_p is built for them.  P_p is T_p / n^b(p,p)
+minus the orthogonal projection onto the ranges of the smaller
+projectives, which exact Gram-Schmidt builds as E D^{-1} E^t.
 
 The colors of a partition never enter T_p; only the block structure does.
 """
@@ -218,34 +219,6 @@ def t_map(p: ColoredPartition, n: int) -> ExactMatrix:
     return ExactMatrix(n**p.l, n**p.k, dict.fromkeys(cells, 1))
 
 
-def join_blocks(p: ColoredPartition, q: ColoredPartition) -> int:
-    """|p v q|: the block count of the finest common coarsening of p and q.
-
-    The blocks of p are union-find nodes; each block of q merges the blocks
-    of p that it meets, and every merge removes one block.
-    """
-    if p.points != q.points:
-        raise ShapeMismatch("the join needs partitions of the same points")
-    owner = [0] * (p.points + 1)
-    for i, b in enumerate(p.blocks):
-        for x in b:
-            owner[x] = i
-    parent = list(range(len(p.blocks)))
-    count = len(p.blocks)
-    for b in q.blocks:
-        root = owner[b[0]]
-        while parent[root] != root:
-            root = parent[root]
-        for x in b[1:]:
-            other = owner[x]
-            while parent[other] != other:
-                other = parent[other]
-            if other != root:
-                parent[other] = root
-                count -= 1
-    return count
-
-
 def check_functoriality(p: ColoredPartition, q: ColoredPartition, n: int) -> bool:
     """Verify the three compatibility laws of p -> T_p, exactly.
 
@@ -341,19 +314,38 @@ def matrix_rank(m: ExactMatrix) -> int:
     return rank_of_vectors(by_row.values())
 
 
+def _coarsenings(p: ColoredPartition, n: int):
+    """Each coarsening of p into at most n blocks, as its point labelling.
+
+    The blocks of p, in least-point order, take restricted-growth labels
+    below n, so the point labelling is restricted-growth too: canonical.
+    """
+    owner = {x: i for i, b in enumerate(p.blocks) for x in b}
+
+    def extend(labels: tuple[int, ...], top: int):
+        if len(labels) == len(p.blocks):
+            yield tuple(labels[owner[x]] for x in range(1, p.points + 1))
+        else:
+            for lab in range(min(top + 2, n)):
+                yield from extend(labels + (lab,), max(top, lab))
+
+    return extend((), -1)
+
+
 def intertwiner_dim(
     sample, k: int, l: int, n: int
 ) -> tuple[int, list[ColoredPartition]]:
     """Rank of {T_p : p all-white in C(k,l)} plus a greedy independent basis.
 
     The partitions are visited in canonical order, so the basis is the
-    lexicographically earliest maximal independent subset.  Each T_p is
-    eliminated in the shorter of two exact coordinates: its column of the
-    Gram matrix G = (<T_p, T_q>) = (n^|p v q|) over the m members when
-    m <= n^(k+l), else its n^(k+l) entries.  Over Q, G c = 0 gives
-    |sum_q c_q T_q|^2 = c^t G c = 0, so the columns of G have exactly the
-    dependencies of the T_p and both give the same greedy basis.  The
-    entry cap bounds n^max(k,l), as in t_map; it does not bound m.
+    lexicographically earliest maximal independent subset.  T_p(i) = 1
+    exactly when ker(i), the points grouped by equal labels of i, is a
+    coarsening sigma of p; the S_n-orbit of i is the class of ker(i), so
+    T_p is the sum of the 0/1 orbit maps of those sigma.  These are
+    disjoint, and nonzero exactly when |sigma| <= n, so T_p has the linear
+    dependencies of its 0/1 row over the coarsenings of p into at most n
+    blocks, the row that is eliminated.  The entry cap bounds n^max(k,l),
+    as in t_map, not the m members or their coarsenings.
     """
     if k + l > sample.max_points:
         raise ShapeMismatch(
@@ -363,18 +355,13 @@ def intertwiner_dim(
     if not members:
         return 0, []
     _check_size(k, l, n)
-    m = len(members)
-    if m <= n ** (k + l):
-        power = [n**b for b in range(k + l + 1)]
-        gram = [[0] * m for _ in members]
-        for i, p in enumerate(members):
-            for j in range(i, m):
-                gram[i][j] = gram[j][i] = power[join_blocks(p, members[j])]
-        vectors = (dict(enumerate(col)) for col in gram)
-    else:
-        vectors = (t_map(p, n).flatten() for p in members)
+    column: dict[tuple[int, ...], int] = {}
     red = IntRowReducer()
-    basis = [p for p, vec in zip(members, vectors) if red.add(vec)]
+    basis = [
+        p
+        for p in members
+        if red.add({column.setdefault(v, len(column)): 1 for v in _coarsenings(p, n)})
+    ]
     return red.rank, basis
 
 

@@ -8,6 +8,8 @@ from fractions import Fraction
 from functools import lru_cache
 from random import Random
 
+from hypothesis import strategies as st
+
 from easyqg import (
     BLACK,
     ColoredPartition,
@@ -17,6 +19,7 @@ from easyqg import (
     is_noncrossing,
     t_map,
 )
+from easyqg.partitions import COLORS
 from easyqg.tmaps import IntRowReducer
 
 
@@ -37,6 +40,21 @@ def random_partition(rng: Random, max_points: int = 8) -> ColoredPartition:
     return ColoredPartition(
         k, m - k, colors[:k], colors[k:], blocks.values()
     )
+
+
+@st.composite
+def colored_partitions(draw, max_points: int = 9) -> ColoredPartition:
+    """Any colored partition: a restricted-growth string, a cut and colors."""
+    m = draw(st.integers(0, max_points))
+    k = draw(st.integers(0, m))
+    labels: list[int] = []
+    for _ in range(m):
+        labels.append(draw(st.integers(0, max(labels, default=-1) + 1)))
+    colors = draw(st.lists(st.sampled_from(COLORS), min_size=m, max_size=m))
+    blocks: dict[int, list[int]] = {}
+    for point, lab in enumerate(labels, start=1):
+        blocks.setdefault(lab, []).append(point)
+    return ColoredPartition(k, m - k, colors[:k], colors[k:], blocks.values())
 
 
 def nc_shapes(k: int, l: int, max_points: int = 8) -> list[ColoredPartition]:
@@ -125,6 +143,32 @@ def naive_rank(vectors: list[dict[int, int]], dim: int) -> int:
         rank += 1
         col += 1
     return rank
+
+
+def join_blocks(p: ColoredPartition, q: ColoredPartition) -> int:
+    """|p v q|: the block count of the finest common coarsening of p and q.
+
+    The blocks of p are union-find nodes; each block of q merges the blocks
+    of p that it meets, and every merge removes one block.
+    """
+    owner = [0] * (p.points + 1)
+    for i, b in enumerate(p.blocks):
+        for x in b:
+            owner[x] = i
+    parent = list(range(len(p.blocks)))
+    count = len(p.blocks)
+    for b in q.blocks:
+        root = owner[b[0]]
+        while parent[root] != root:
+            root = parent[root]
+        for x in b[1:]:
+            other = owner[x]
+            while parent[other] != other:
+                other = parent[other]
+            if other != root:
+                parent[other] = root
+                count -= 1
+    return count
 
 
 def vector_intertwiner_dim(sample, k: int, l: int, n: int):

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from easyqg.cli import EXIT_NONSTABLE, EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, main
+from easyqg.fusion import SEARCH_LEVEL_CAP
 
 
 def run(capsys, *argv):
@@ -153,6 +154,11 @@ def test_conditions_level_cap_cuts_gap_search(capsys):
     assert payload["C2"]["status"] == "undetermined"
     assert payload["C2"]["witness"] is None
     assert payload["consistent"] is True
+
+
+def test_conditions_default_level_cap_is_the_search_cap(capsys):
+    payload = run_json(capsys, "conditions", "--family", "O+")
+    assert payload["bounds_used"]["level_cap"] == SEARCH_LEVEL_CAP
 
 
 def test_python_dash_m_matches_main(capsys):

@@ -37,7 +37,6 @@ from easyqg import (
     vertical_pair,
 )
 from easyqg.partitions import (
-    COLORS,
     CORNERS,
     INVERSE_CORNER,
     boundary_blocks,
@@ -253,28 +252,13 @@ def test_rotate_inverses_and_c_invariance():
 laws = settings(derandomize=True, database=None)
 
 
-@st.composite
-def colored_partitions(draw, max_points: int = 9) -> ColoredPartition:
-    """Any colored partition: a restricted-growth string, a cut and colors."""
-    m = draw(st.integers(0, max_points))
-    k = draw(st.integers(0, m))
-    labels: list[int] = []
-    for _ in range(m):
-        labels.append(draw(st.integers(0, max(labels, default=-1) + 1)))
-    colors = draw(st.lists(st.sampled_from(COLORS), min_size=m, max_size=m))
-    blocks: dict[int, list[int]] = {}
-    for point, lab in enumerate(labels, start=1):
-        blocks.setdefault(lab, []).append(point)
-    return ColoredPartition(k, m - k, colors[:k], colors[k:], blocks.values())
-
-
 def word_of(p: ColoredPartition):
     """The boundary colors and the set of position blocks of p."""
     return boundary_colors(p), {frozenset(b) for b in boundary_blocks(p)}
 
 
 @laws
-@given(colored_partitions())
+@given(helpers.colored_partitions())
 def test_from_boundary_inverts_the_word(p):
     points = boundary_points(p.k, p.l)
     assert points == tuple(range(1, p.k + 1)) + tuple(reversed(range(p.k + 1, p.points + 1)))
@@ -286,7 +270,7 @@ def test_from_boundary_inverts_the_word(p):
 
 
 @laws
-@given(colored_partitions())
+@given(helpers.colored_partitions())
 def test_cut_words_cuts_every_word_over_one_structure(p):
     colors, blocks = word_of(p)
     words = [colors, tuple(flip_color(c) for c in colors), colors[::-1]]
@@ -297,7 +281,7 @@ def test_cut_words_cuts_every_word_over_one_structure(p):
 
 
 @laws
-@given(colored_partitions(), st.sampled_from(CORNERS))
+@given(helpers.colored_partitions(), st.sampled_from(CORNERS))
 def test_rotation_moves_the_cut_and_turns_the_word(p, corner):
     upper = corner in ("UL", "UR")
     assume((p.k if upper else p.l) > 0)
@@ -314,7 +298,7 @@ def test_rotation_moves_the_cut_and_turns_the_word(p, corner):
 
 
 @laws
-@given(colored_partitions())
+@given(helpers.colored_partitions())
 def test_involute_reverses_and_inverts_the_word(p):
     r = involute(p)
     colors, blocks = word_of(p)
@@ -327,7 +311,7 @@ def test_involute_reverses_and_inverts_the_word(p):
 
 
 @laws
-@given(colored_partitions(), st.sampled_from(CORNERS))
+@given(helpers.colored_partitions(), st.sampled_from(CORNERS))
 def test_rotations_keep_c_and_noncrossing(p, corner):
     assume((p.k if corner in ("UL", "UR") else p.l) > 0)
     r = rotate(p, corner)

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from easyqg import (
     ColoredPartition,
@@ -39,7 +42,7 @@ from easyqg import (
     tensor,
 )
 from easyqg import tmaps
-from easyqg.tmaps import join_blocks, range_projection, rank_of_vectors, sub_projectives
+from easyqg.tmaps import range_projection, rank_of_vectors, sub_projectives
 
 import helpers
 
@@ -188,7 +191,9 @@ def test_s_plus_hom_1_1():
 
 def test_gram_entries_are_join_powers():
     """<T_p, T_q> = n^|p v q| for every pair of all-white noncrossing
-    diagrams of one shape with at most 5 points, and for crossing pairs."""
+    diagrams of one shape with at most 5 points, and for crossing pairs.
+    The common coarsenings sigma of p and q into at most n blocks give the
+    same count: each labels (n)_|sigma| multi-indices."""
     by_shape = {}
     for p in helpers.all_nc_structures(5):
         by_shape.setdefault((p.k, p.l), []).append(p)
@@ -206,12 +211,34 @@ def test_gram_entries_are_join_powers():
             tp = maps.setdefault(p, t_map(p, n)).entries
             tq = maps.setdefault(q, t_map(q, n)).entries
             inner = sum(v * tq.get(key, 0) for key, v in tp.items())
-            assert inner == n ** join_blocks(p, q)
-            assert join_blocks(p, q) == join_blocks(q, p)
+            assert inner == n ** helpers.join_blocks(p, q)
+            assert helpers.join_blocks(p, q) == helpers.join_blocks(q, p)
+            common = set(tmaps._coarsenings(p, n)) & set(tmaps._coarsenings(q, n))
+            assert sum(math.perm(n, len(set(v))) for v in common) == inner
+
+
+@settings(derandomize=True, database=None)
+@given(helpers.colored_partitions(max_points=6), st.integers(1, 7))
+def test_coarsenings_are_the_labellings_constant_on_blocks(p, n):
+    """The coarsenings of p into at most n blocks are the restricted-growth
+    labellings of its points with at most n labels constant on its blocks."""
+    found = list(tmaps._coarsenings(p, n))
+    assert len(set(found)) == len(found)
+    for v in found:
+        assert len(set(v)) <= n
+        assert all(len({v[x - 1] for x in b}) == 1 for b in p.blocks)
+    expected = [
+        v
+        for v in helpers.restricted_growth_strings(p.points)
+        if len(set(v)) <= n and all(len({v[x - 1] for x in b}) == 1 for b in p.blocks)
+    ]
+    assert len(found) == len(expected)
+    assert sorted(found) == expected
 
 
 def test_intertwiner_dim_matches_vector_oracle():
-    """Same rank and basis as the flattened T_p, in both coordinates."""
+    """Same rank and basis as the flattened T_p, whether the m members are
+    at most or more than the n^(k+l) entries of a T_p."""
     gram, vector, deficient = set(), set(), set()
     for family, s in (("O+", None), ("S+", None), ("H+", 2)):
         sample = family_category(family, 6, s=s)
@@ -229,23 +256,15 @@ def test_intertwiner_dim_matches_vector_oracle():
     # noncrossing pairings are independent from n = 2 on (Temperley-Lieb)
     assert ("O+", 2) not in deficient
     assert ("S+", 3, 3, 3) in gram and ("S+", 3, 3, 2) in vector
-
-
-def test_intertwiner_dim_takes_the_shorter_coordinates(monkeypatch):
-    """T_p are built only when the m members outnumber its n^(k+l) entries."""
-    built = []
-
-    def counting_t_map(p, n):
-        built.append(p)
-        return t_map(p, n)
-
-    monkeypatch.setattr(tmaps, "t_map", counting_t_map)
-    sample = family_category("S+", 6)
-    # m = 132 members of shape (3,3), against 2^6 = 64 and 3^6 = 729 entries
-    for n, expected in ((2, 132), (3, 0)):
-        built.clear()
-        intertwiner_dim(sample, 3, 3, n)
-        assert len(built) == expected
+    for family, k, l, n in (
+        ("S+", 4, 4, 2),  # m = 1430 members against 2^8 entries
+        ("S+", 3, 3, 6),  # every coarsening of every member has at most n blocks
+        ("S+", 3, 3, 7),
+        ("O+", 5, 5, 4),
+    ):
+        sample = family_category(family, k + l)
+        expected = helpers.vector_intertwiner_dim(sample, k, l, n)
+        assert intertwiner_dim(sample, k, l, n) == expected
 
 
 def test_rank_matches_naive_oracle():
