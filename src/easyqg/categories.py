@@ -4,8 +4,8 @@ Two ways to build a sample:
 
 * ``generate_category(generators, max_points)`` — fixed-point closure of
   the seed under tensor, composition, involution and rotation, discarding
-  anything above the point bound.  This is exact but only feasible for
-  small bounds.
+  anything above the point bound, run on one-row boundary words and then
+  cut every way.  This is exact but only feasible for small bounds.
 * ``family_category(family, max_points, s)`` — the four shipped families
   (O+, U+, S+, H+) enumerated through their known membership predicates:
 
@@ -43,19 +43,18 @@ from .partitions import (
     WHITE,
     ColoredPartition,
     b_block,
+    boundary_blocks,
     boundary_colors,
     boundary_points,
     charge,
     color_counts,
-    compose,
     cut_words,
+    flip_color,
     four_block_wwbb,
     from_boundary,
-    involute,
     is_noncrossing,
-    rotate,
+    merge_blocks,
     singleton,
-    tensor,
     vertical_pair,
 )
 
@@ -128,13 +127,8 @@ class PartitionCategorySample:
     ) -> Iterator[ColoredPartition]:
         if self._members is not None:
             for p in sorted(self._members):
-                if k is not None and p.k != k:
-                    continue
-                if l is not None and p.l != l:
-                    continue
-                if all_white and not p.all_white():
-                    continue
-                yield p
+                if k in (None, p.k) and l in (None, p.l) and (p.all_white() or not all_white):
+                    yield p
             return
         sizes = [
             m for m in range(self.max_points + 1)
@@ -142,10 +136,11 @@ class PartitionCategorySample:
         ]
         for m, struct, tables in _family_structures(self.family, self.s, sizes):
             cuts = [c for c in range(m + 1) if k in (None, c) and l in (None, m - c)]
-            if all_white:
+            if all_white:  # upper points of an all-white word are boundary-black
                 for cut in cuts:
-                    word = _white_word(m, cut)
-                    if _admits(self.family, self.s, struct, word):
+                    word = [BLACK] * cut + [WHITE] * (m - cut)
+                    if all(_block_ok(self.family, self.s, [word[i] for i in b])
+                           for b in struct):
                         yield from_boundary(cut, word, struct)
                 continue
             words = []
@@ -177,9 +172,11 @@ def generate_category(
 ) -> PartitionCategorySample:
     """Close the seed under the category operations within the point bound.
 
-    The result is the least fixed point, hence independent of generator
-    order.  ``max_members`` is a safety valve: when the closure outgrows
-    it the sample is returned with ``saturated=False``.
+    The seed's boundary words ``(colors, position blocks)`` are closed under
+    the cyclic shift, the involution and ``_glues``; each word gives its
+    m + 1 cuts as members.  This least fixed point does not depend on the
+    generator order.  ``max_members`` is a safety valve on the number of
+    words: past it the sample is returned with ``saturated=False``.
     """
     if max_points < 2:
         raise BoundTooSmall("max_points must be at least 2")
@@ -189,41 +186,55 @@ def generate_category(
         if p.points > max_points:
             raise BoundTooSmall(f"seed partition {p!r} exceeds bound {max_points}")
 
-    members = set(seed)
-    queue = deque(sorted(seed))
-    processed: list[ColoredPartition] = []
-    saturated = True
+    words = {(boundary_colors(p), _moved(boundary_blocks(p), range(p.points))) for p in seed}
+    queue = deque(sorted(words))
+    processed: list[tuple] = []
+    while queue and (max_members is None or len(words) <= max_members):
+        u = queue.popleft()
+        processed.append(u)
+        colors, blocks = u
+        m = len(colors)
+        found = [
+            (colors[1:] + colors[:1], _moved(blocks, (m - 1, *range(m - 1)))),
+            (tuple(map(flip_color, colors[::-1])), _moved(blocks, range(m - 1, -1, -1))),
+        ]
+        for v in processed:
+            found += [*_glues(u, v, max_points), *_glues(v, u, max_points)]
+        for word in found:
+            if word not in words:
+                words.add(word)
+                queue.append(word)
 
-    def consider(r: ColoredPartition) -> None:
-        if r.points <= max_points and r not in members:
-            members.add(r)
-            queue.append(r)
-
-    while queue:
-        if max_members is not None and len(members) > max_members:
-            saturated = False
-            break
-        p = queue.popleft()
-        consider(involute(p))
-        if p.k > 0:
-            consider(rotate(p, "UL"))
-            consider(rotate(p, "UR"))
-        if p.l > 0:
-            consider(rotate(p, "LL"))
-            consider(rotate(p, "LR"))
-        for q in itertools.chain(processed, (p,)):
-            for a, b in ((p, q), (q, p)):
-                if a.points + b.points <= max_points:
-                    consider(tensor(a, b))
-                # compose(a, b): b stacked above a
-                if b.l == a.k and b.lower_colors == a.upper_colors:
-                    if b.k + a.l <= max_points:
-                        consider(compose(a, b)[0])
-        processed.append(p)
-
-    return PartitionCategorySample(
-        generators, max_points, saturated, members=frozenset(members)
+    members = frozenset(
+        p for colors, blocks in words for cut in range(len(colors) + 1)
+        for p in cut_words(cut, [colors], blocks)
     )
+    return PartitionCategorySample(generators, max_points, not queue, members=members)
+
+
+def _moved(blocks: Iterable[Iterable[int]], position: Sequence[int]) -> tuple:
+    """The blocks with each i moved to ``position[i]``, in canonical form."""
+    return tuple(sorted(tuple(sorted(position[i] for i in b)) for b in blocks))
+
+
+def _glues(u: tuple, v: tuple, max_points: int) -> Iterator[tuple]:
+    """The nested glues of the words u and v within ``max_points`` positions.
+    Along t positions, u[a-t+i] meets v[t-1-i] for i < t, and the result is
+    u[:a-t] + v[t:], its blocks joined through the met positions: the tensor
+    product for t = 0, else a composition at one cut.  Met positions need
+    opposite colors; each t meets the pairs of t - 1, so the first
+    same-colored pair ends the search."""
+    (cu, bu), (cv, bv) = u, v
+    a, b = len(cu), len(cv)
+    for t in range(min(a, b) + 1):
+        if t and cu[a - t] == cv[t - 1]:
+            return
+        r = a + b - 2 * t
+        if r <= max_points:
+            glued = range(r, r + t)
+            nodes = (bu, (*range(a - t), *glued)), (bv, (*reversed(glued), *range(a - t, r)))
+            blocks, _ = merge_blocks(range(r), glued, *nodes)
+            yield cu[: a - t] + cv[t:], tuple(map(tuple, blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -295,16 +306,6 @@ def _family_structures(
             tables = [_block_colorings(family, s, len(b)) for b in struct]
             if all(tables):
                 yield m, struct, tables
-
-
-def _white_word(m: int, cut: int) -> list[str]:
-    """The all-white boundary word cut after ``cut``: upper points are black."""
-    return [BLACK] * cut + [WHITE] * (m - cut)
-
-
-def _admits(family: str, s: int | None, struct, word: Sequence[str]) -> bool:
-    """True when every block of ``struct`` admits its colors in ``word``."""
-    return all(_block_ok(family, s, [word[i] for i in b]) for b in struct)
 
 
 def family_category(

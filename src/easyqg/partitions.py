@@ -10,7 +10,9 @@ Conventions fixed here and relied on everywhere else:
 
 * ``compose(q, p)`` stacks ``p`` *above* ``q`` (so it models "q after p" on
   linear maps) and also returns the number of blocks that were swallowed
-  entirely by the middle row.
+  entirely by the middle row.  Its blocks are joined by ``merge_blocks``,
+  the one union-find, which also glues boundary words in the category
+  closure (``categories.generate_category``).
 * The boundary word lists the points in cyclic order, upper row left to
   right, then lower row right to left (``boundary_points``), with colors
   inverted on the upper row (``boundary_colors``); a diagram is its word
@@ -32,6 +34,7 @@ is ``P(1,1;w;w;{{1,2}})`` and the white cup is ``P(0,2;;ww;{{1,2}})``.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ColorMismatch, EmptyRow, ParseError, ShapeMismatch
@@ -252,6 +255,43 @@ def tensor(p: ColoredPartition, q: ColoredPartition) -> ColoredPartition:
     )
 
 
+def merge_blocks(kept: range, glued: range, *parts) -> tuple[list[list[int]], int]:
+    """Join the blocks that share a node, by union-find.  Each part is
+    ``(blocks, node)``, and a block's member x is the node ``node[x]``.
+    Returns the classes of the ``kept`` nodes, each ascending and listed by
+    least node, and the number of classes made only of ``glued`` nodes."""
+    parent = list(range(max(kept.stop, glued.stop)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for blocks, node in parts:
+        for b in blocks:
+            root = find(node[b[0]])
+            for x in b[1:]:
+                other = find(node[x])
+                if other != root:
+                    parent[other] = root
+    classes: dict[int, list[int]] = {}
+    for x in kept:
+        classes.setdefault(find(x), []).append(x)
+    removed = sum(1 for x in glued if parent[x] == x and x not in classes)
+    return list(classes.values()), removed
+
+
+@lru_cache(maxsize=None)
+def _stack_nodes(k: int, t: int, l: int) -> tuple:
+    """``merge_blocks``' kept and glued nodes and the node maps of p (k, t)
+    above q (t, l): the result's points 1..k+l are their own nodes, and the
+    middle points are nodes k+l+1..k+l+t."""
+    middle = range(k + l + 1, k + l + t + 1)
+    p_nodes = (0, *range(1, k + 1), *middle)
+    return range(1, k + l + 1), middle, p_nodes, (0, *middle, *range(k + 1, k + l + 1))
+
+
 def compose(q: ColoredPartition, p: ColoredPartition) -> tuple[ColoredPartition, int]:
     """Stack p above q; return (qp, removed block count).
 
@@ -269,49 +309,8 @@ def compose(q: ColoredPartition, p: ColoredPartition) -> tuple[ColoredPartition,
             f"middle colors disagree: {''.join(p.lower_colors)} vs "
             f"{''.join(q.upper_colors)}"
         )
-
-    # Node layout: 0..k_p-1 result uppers, k_p..k_p+t-1 middle,
-    # k_p+t..k_p+t+l_q-1 result lowers.
-    n_nodes = p.k + t + q.l
-    parent = list(range(n_nodes))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    for b in p.blocks:  # p's point i maps to node i-1
-        first = b[0] - 1
-        for x in b[1:]:
-            union(first, x - 1)
-    for b in q.blocks:  # q's point i maps to node k_p + i - 1
-        first = p.k + b[0] - 1
-        for x in b[1:]:
-            union(first, p.k + x - 1)
-
-    classes: dict[int, list[int]] = {}
-    for node in range(n_nodes):
-        classes.setdefault(find(node), []).append(node)
-
-    blocks = []
-    removed = 0
-    for members in classes.values():
-        pts = []
-        for node in members:
-            if node < p.k:
-                pts.append(node + 1)
-            elif node >= p.k + t:
-                pts.append(node - t + 1)
-        if pts:
-            blocks.append(pts)
-        else:
-            removed += 1
+    kept, middle, p_nodes, q_nodes = _stack_nodes(p.k, t, q.l)
+    blocks, removed = merge_blocks(kept, middle, (p.blocks, p_nodes), (q.blocks, q_nodes))
     result = ColoredPartition(p.k, q.l, p.upper_colors, q.lower_colors, blocks)
     return result, removed
 

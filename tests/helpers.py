@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from fractions import Fraction
 from functools import lru_cache
 from random import Random
@@ -15,11 +16,15 @@ from easyqg import (
     ColoredPartition,
     WHITE,
     color_counts,
+    compose,
     family_category,
+    involute,
     is_noncrossing,
+    rotate,
     t_map,
+    tensor,
 )
-from easyqg.partitions import COLORS
+from easyqg.partitions import BASE_PARTITIONS, COLORS, CORNERS
 from easyqg.tmaps import IntRowReducer
 
 
@@ -171,11 +176,61 @@ def join_blocks(p: ColoredPartition, q: ColoredPartition) -> int:
     return count
 
 
+def member_closure(generators, max_points: int):
+    """The members of the closure of the base partitions and
+    ``generators`` under involution, the four rotations, tensor and compose,
+    run on whole members: every operation is applied to every member and
+    every pair of members, keeping results within the point bound, until
+    nothing new appears."""
+    seed = set(BASE_PARTITIONS) | set(generators)
+    members = set(seed)
+    queue = deque(sorted(seed))
+    processed: list[ColoredPartition] = []
+
+    def consider(r: ColoredPartition) -> None:
+        if r.points <= max_points and r not in members:
+            members.add(r)
+            queue.append(r)
+
+    while queue:
+        p = queue.popleft()
+        consider(involute(p))
+        for corner in CORNERS:
+            if (p.k if corner[0] == "U" else p.l) > 0:
+                consider(rotate(p, corner))
+        for q in itertools.chain(processed, (p,)):
+            for a, b in ((p, q), (q, p)):
+                if a.points + b.points <= max_points:
+                    consider(tensor(a, b))
+                # compose(a, b): b stacked above a
+                if b.l == a.k and b.lower_colors == a.upper_colors:
+                    if b.k + a.l <= max_points:
+                        consider(compose(a, b)[0])
+        processed.append(p)
+    return frozenset(members)
+
+
 def vector_intertwiner_dim(sample, k: int, l: int, n: int):
     """``intertwiner_dim`` on the flattened T_p alone: rank and greedy basis."""
     red = IntRowReducer()
     members = sorted(sample.iter_members(k=k, l=l, all_white=True))
     basis = [p for p in members if red.add(t_map(p, n).flatten())]
+    return red.rank, basis
+
+
+def gram_intertwiner_dim(sample, k: int, l: int, n: int):
+    """``intertwiner_dim`` on Gram columns: rank and greedy basis.
+
+    Each member p goes in as its column ``{i: n^|p v q_i|}`` over the sorted
+    members q_i.  Over Q, G = V^T V has the kernel of V (G c = 0 gives
+    |V c|^2 = 0), so the rank and the greedy basis are those of the T_p.
+    """
+    red = IntRowReducer()
+    members = sorted(sample.iter_members(k=k, l=l, all_white=True))
+    basis = [
+        p for p in members
+        if red.add({i: n ** join_blocks(p, q) for i, q in enumerate(members)})
+    ]
     return red.rank, basis
 
 

@@ -12,12 +12,14 @@ from easyqg import (
     WHITE,
     b_block,
     color_counts,
+    empty_partition,
     family_category,
     family_generators,
     generate_category,
     identity,
     k_param,
     lower_pair,
+    parse_partition,
     singleton,
     tensor,
     vertical_pair,
@@ -52,6 +54,36 @@ def test_bound_too_small():
 def test_unsaturated_when_member_cap_hit():
     sample = generate_category(family_generators("S+"), 6, max_members=20)
     assert not sample.saturated
+
+
+def test_member_cap_counts_words():
+    """``max_members`` bounds the one-row words, which are the members with
+    no upper points."""
+    gens = family_generators("S+")
+    words = sum(1 for p in generate_category(gens, 4).members if p.k == 0)
+    assert generate_category(gens, 4, max_members=words).saturated
+    assert not generate_category(gens, 4, max_members=words - 1).saturated
+
+
+@pytest.mark.parametrize(
+    "generators,bound",
+    [
+        (family_generators("S+"), 4),
+        (family_generators("H+", 2), 5),
+        (family_generators("H+", 3), 5),
+        ((lower_pair(WHITE, WHITE), singleton(WHITE)), 4),
+        ((parse_partition("P(2,2;ww;ww;{{1,4},{2,3}})"),), 6),
+        ((empty_partition(),), 2),
+        ((), 6),
+    ],
+    ids=["S+", "H+2", "H+3", "cup-singleton", "crossing", "empty", "none"],
+)
+def test_closure_matches_member_closure(generators, bound):
+    """The closure on boundary words gives the members of the closure run
+    on whole members."""
+    sample = generate_category(generators, bound)
+    assert sample.saturated
+    assert sample.members == helpers.member_closure(generators, bound)
 
 
 def test_saturated_means_fixed_point():

@@ -32,11 +32,13 @@ from easyqg import (
     precedes,
     rotate,
     singleton,
+    t_map,
     tensor,
     to_literal,
     vertical_pair,
 )
 from easyqg.partitions import (
+    COLORS,
     CORNERS,
     INVERSE_CORNER,
     boundary_blocks,
@@ -250,6 +252,25 @@ def test_rotate_inverses_and_c_invariance():
 # -- the boundary word (property tests) ------------------------------------
 
 laws = settings(derandomize=True, database=None)
+
+
+@laws
+@given(helpers.colored_partitions(max_points=6), st.data())
+def test_compose_matches_t_maps_on_crossing_diagrams(p, data):
+    """T_q T_p = n^removed T_qp for any p and any q below it with at most 3
+    lower points, crossing blocks included."""
+    l = data.draw(st.integers(0, 3))
+    labels: list[int] = []
+    for _ in range(p.l + l):
+        labels.append(data.draw(st.integers(0, max(labels, default=-1) + 1)))
+    blocks: dict[int, list[int]] = {}
+    for point, lab in enumerate(labels, start=1):
+        blocks.setdefault(lab, []).append(point)
+    lower = data.draw(st.lists(st.sampled_from(COLORS), min_size=l, max_size=l))
+    q = ColoredPartition(p.l, l, p.lower_colors, lower, blocks.values())
+    qp, removed = compose(q, p)
+    for n in (2, 3):
+        assert t_map(q, n) @ t_map(p, n) == t_map(qp, n).scale(n**removed)
 
 
 def word_of(p: ColoredPartition):

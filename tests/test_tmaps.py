@@ -258,13 +258,19 @@ def test_intertwiner_dim_matches_vector_oracle():
     assert ("S+", 3, 3, 3) in gram and ("S+", 3, 3, 2) in vector
     for family, k, l, n in (
         ("S+", 4, 4, 2),  # m = 1430 members against 2^8 entries
-        ("S+", 3, 3, 6),  # every coarsening of every member has at most n blocks
-        ("S+", 3, 3, 7),
         ("O+", 5, 5, 4),
     ):
         sample = family_category(family, k + l)
         expected = helpers.vector_intertwiner_dim(sample, k, l, n)
         assert intertwiner_dim(sample, k, l, n) == expected
+    # every coarsening of every member has at most n blocks; T_p has n^6
+    # entries here, so these go against the Gram columns
+    sample = family_category("S+", 6)
+    assert helpers.gram_intertwiner_dim(sample, 3, 3, 4) == helpers.vector_intertwiner_dim(
+        sample, 3, 3, 4
+    )
+    for n in (6, 7):
+        assert intertwiner_dim(sample, 3, 3, n) == helpers.gram_intertwiner_dim(sample, 3, 3, n)
 
 
 def test_rank_matches_naive_oracle():
