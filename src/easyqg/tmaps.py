@@ -11,8 +11,11 @@ sums the place values of its lower (upper) points, and every labelling of
 the blocks by 0..n-1 puts a 1 at the weighted sums.  T_p is 1 exactly
 at the multi-indices whose kernel (the points grouped by equal labels)
 coarsens p, so it is the sum of the S_n-orbit maps of its coarsenings
-into at most n blocks.  Intertwiner ranks are ranks of these 0/1 rows
-over the coarsenings; no T_p is built for them.  P_p is T_p / n^b(p,p)
+into at most n blocks.  Each T_p is built once per (p, n) and kept in a
+bounded memo, read-only, since every ExactMatrix operation returns a new
+matrix.  Intertwiner ranks are ranks of these 0/1 rows over the
+coarsenings, whose columns are numbered finest first; no T_p is built for
+them.  P_p is T_p / n^b(p,p)
 minus the orthogonal projection onto the ranges of the smaller
 projectives, which exact Gram-Schmidt builds as E D^{-1} E^t.
 
@@ -25,12 +28,15 @@ import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from types import MappingProxyType
 from typing import Iterable, Sequence
 
 from .errors import (
     IndexOutOfRange,
     MissingSubprojectives,
     NotProjective,
+    ParseError,
     ShapeMismatch,
     SizeOverflow,
 )
@@ -49,7 +55,15 @@ ENTRY_CAP_ENV = "EASYQG_MAX_TMAP_ENTRIES"
 
 def _entry_cap() -> int:
     raw = os.environ.get(ENTRY_CAP_ENV)
-    return int(raw) if raw else DEFAULT_ENTRY_CAP
+    if not raw:
+        return DEFAULT_ENTRY_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ParseError(f"{ENTRY_CAP_ENV} must be a positive integer, not {raw!r}")
+    return cap
 
 
 class ExactMatrix:
@@ -70,6 +84,13 @@ class ExactMatrix:
                     self.entries[key] = val
 
     # -- constructors ----------------------------------------------------
+
+    @classmethod
+    def _trusted(cls, rows: int, cols: int, entries) -> "ExactMatrix":
+        """Wrap entries that are already nonzero and inside rows x cols."""
+        m = cls.__new__(cls)
+        m.rows, m.cols, m.entries = rows, cols, entries
+        return m
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
@@ -110,15 +131,15 @@ class ExactMatrix:
                 out[key] = new
             else:
                 out.pop(key, None)
-        return ExactMatrix(self.rows, self.cols, out)
+        return ExactMatrix._trusted(self.rows, self.cols, out)
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
         return self + other.scale(-1)
 
     def scale(self, factor) -> "ExactMatrix":
         if not factor:
-            return ExactMatrix(self.rows, self.cols)
-        return ExactMatrix(
+            return ExactMatrix._trusted(self.rows, self.cols, {})
+        return ExactMatrix._trusted(
             self.rows, self.cols, {k: v * factor for k, v in self.entries.items()}
         )
 
@@ -139,17 +160,17 @@ class ExactMatrix:
                     out[key] = new
                 else:
                     del out[key]
-        return ExactMatrix(self.rows, other.cols, out)
+        return ExactMatrix._trusted(self.rows, other.cols, out)
 
     def kron(self, other: "ExactMatrix") -> "ExactMatrix":
         out = {}
         for (r1, c1), v1 in self.entries.items():
             for (r2, c2), v2 in other.entries.items():
                 out[(r1 * other.rows + r2, c1 * other.cols + c2)] = v1 * v2
-        return ExactMatrix(self.rows * other.rows, self.cols * other.cols, out)
+        return ExactMatrix._trusted(self.rows * other.rows, self.cols * other.cols, out)
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
+        return ExactMatrix._trusted(
             self.cols, self.rows, {(c, r): v for (r, c), v in self.entries.items()}
         )
 
@@ -203,20 +224,32 @@ def _check_size(k: int, l: int, n: int) -> None:
 def t_map(p: ColoredPartition, n: int) -> ExactMatrix:
     """The 0/1 matrix of T_p at size n, shape n^l by n^k.
 
-    Upper point x has place value n^(k-x) in the column index and lower
+    The size is checked against the entry cap on every call, before the
+    memo is read, because the cap comes from the environment.  The memo
+    is keyed by the block structure, all that T_p reads, so colourings
+    share an entry and no partition is kept alive.  The matrix returned is
+    shared between callers, so its entries are read-only.
+    """
+    _check_size(p.k, p.l, n)
+    return _build_t_map(p.k, p.l, p.blocks, n)
+
+
+@lru_cache(maxsize=4096)
+def _build_t_map(k: int, l: int, blocks: tuple, n: int) -> ExactMatrix:
+    """Upper point x has place value n^(k-x) in the column index and lower
     point x has n^(k+l-x) in the row index; block b's weights row_b and
     col_b sum its points' place values.  Each labelling v of the blocks by
     0..n-1, extended one block at a time, puts a 1 at
     (sum_b v_b row_b, sum_b v_b col_b).
     """
-    _check_size(p.k, p.l, n)
-    k, top = p.k, p.k + p.l
+    top = k + l
     cells = [(0, 0)]
-    for b in p.blocks:
+    for b in blocks:
         row_w = sum(n ** (top - x) for x in b if x > k)
         col_w = sum(n ** (k - x) for x in b if x <= k)
         cells = [(r + v * row_w, c + v * col_w) for r, c in cells for v in range(n)]
-    return ExactMatrix(n**p.l, n**p.k, dict.fromkeys(cells, 1))
+    entries = MappingProxyType(dict.fromkeys(cells, 1))
+    return ExactMatrix._trusted(n**l, n**k, entries)
 
 
 def check_functoriality(p: ColoredPartition, q: ColoredPartition, n: int) -> bool:
@@ -346,6 +379,13 @@ def intertwiner_dim(
     dependencies of its 0/1 row over the coarsenings of p into at most n
     blocks, the row that is eliminated.  The entry cap bounds n^max(k,l),
     as in t_map, not the m members or their coarsenings.
+
+    Columns are numbered finest first: a coarsening v with max(v) + 1
+    blocks is column (k+l-1-max(v)) n^(k+l) + code(v), where code(v) reads
+    v as base-n digits.  The own labelling of a member with at most n
+    blocks is then the smallest column of its row, so when every member
+    has at most n blocks each row pivots there without fill-in.  The order of the columns cannot change
+    a linear dependency, so neither the rank nor the basis depends on it.
     """
     if k + l > sample.max_points:
         raise ShapeMismatch(
@@ -355,12 +395,17 @@ def intertwiner_dim(
     if not members:
         return 0, []
     _check_size(k, l, n)
-    column: dict[tuple[int, ...], int] = {}
+    size = n ** (k + l)
+
+    def column(v: tuple[int, ...]) -> int:
+        code = 0
+        for x in v:
+            code = code * n + x
+        return (k + l - 1 - max(v, default=-1)) * size + code
+
     red = IntRowReducer()
     basis = [
-        p
-        for p in members
-        if red.add({column.setdefault(v, len(column)): 1 for v in _coarsenings(p, n)})
+        p for p in members if red.add(dict.fromkeys(map(column, _coarsenings(p, n)), 1))
     ]
     return red.rank, basis
 

@@ -201,6 +201,26 @@ def test_count_below_minimum_exit_2(capsys, argv):
     assert len(err.splitlines()) == 1 and err.startswith("error: --")
 
 
+def test_malformed_entry_cap_exit_2():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, EASYQG_MAX_TMAP_ENTRIES="abc")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "easyqg", "intertwiners", "--family", "S+",
+         "--k", "2", "--l", "2", "--n", "2"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == EXIT_PARSE
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: EASYQG_MAX_TMAP_ENTRIES")
+    assert "Traceback" not in proc.stderr
+
+
 def test_ktheory_strict_exit_4(capsys):
     code, _, _ = run(
         capsys, "ktheory", "--family", "H+", "--s", "2", "--L", "3", "--strict"

@@ -17,6 +17,7 @@ from easyqg import (
     IndexOutOfRange,
     MissingSubprojectives,
     NotProjective,
+    ParseError,
     ShapeMismatch,
     SizeOverflow,
     WHITE,
@@ -122,6 +123,55 @@ def test_size_cap_env_override(monkeypatch):
         t_map(identity_power(2), 3)
     monkeypatch.setenv("EASYQG_MAX_TMAP_ENTRIES", "100")
     assert t_map(identity_power(2), 3).rows == 9
+    # built once under the larger cap, the memo still answers to the cap
+    monkeypatch.setenv("EASYQG_MAX_TMAP_ENTRIES", "5")
+    with pytest.raises(SizeOverflow):
+        t_map(identity_power(2), 3)
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-3", "1.5", "1e3"])
+def test_size_cap_env_must_be_positive_integer(monkeypatch, raw):
+    monkeypatch.setenv("EASYQG_MAX_TMAP_ENTRIES", raw)
+    with pytest.raises(ParseError, match="EASYQG_MAX_TMAP_ENTRIES"):
+        t_map(identity(), 2)
+    with pytest.raises(ParseError):
+        intertwiner_dim(family_category("O+", 2), 1, 1, 2)
+
+
+def test_cached_t_map_is_read_only():
+    """T_p is kept per block structure and n and shared, so no caller may
+    write to it."""
+    colored = ColoredPartition(1, 2, "b", "wb", [(1, 3), (2,)])
+    for p in (colored, colored.uncolored(), lower_pair(WHITE, WHITE)):
+        for n in (1, 2, 3):
+            first = t_map(p, n)
+            with pytest.raises(TypeError):
+                first.entries[(0, 0)] = 5
+            with pytest.raises(TypeError):
+                del first.entries[next(iter(first.entries))]
+            assert t_map(p, n) == first
+            _assert_t_map_is_delta(p, n)
+
+
+def test_operations_keep_the_matrix_invariant():
+    """Sums, scalings, products, Kronecker products and transposes skip the
+    per-entry check; each stores no zero and no key outside its shape, and
+    equals itself rebuilt through the checking constructor."""
+    structures = helpers.all_nc_structures(4)
+    for n in (1, 2, 3):
+        maps = [t_map(p, n) for p in structures]
+        for tp in maps:
+            results = [tp.transpose(), tp.scale(0), tp.scale(Fraction(-2, 3))]
+            for tq in maps:
+                if (tp.rows, tp.cols) == (tq.rows, tq.cols):
+                    results.append(tp + tq.scale(-1))
+                if tq.cols == tp.rows:
+                    results.append(tq @ tp)
+                results.append(tp.kron(tq))
+            for m in results:
+                assert all(m.entries.values())
+                assert all(0 <= r < m.rows and 0 <= c < m.cols for r, c in m.entries)
+                assert m == ExactMatrix(m.rows, m.cols, dict(m.entries))
 
 
 # -- functoriality -------------------------------------------------------------
@@ -256,13 +306,14 @@ def test_intertwiner_dim_matches_vector_oracle():
     # noncrossing pairings are independent from n = 2 on (Temperley-Lieb)
     assert ("O+", 2) not in deficient
     assert ("S+", 3, 3, 3) in gram and ("S+", 3, 3, 2) in vector
-    for family, k, l, n in (
-        ("S+", 4, 4, 2),  # m = 1430 members against 2^8 entries
-        ("O+", 5, 5, 4),
+    for family, k, l, n, oracle in (
+        ("S+", 4, 4, 2, helpers.vector_intertwiner_dim),  # m = 1430 against 2^8
+        # a benchmark shape: 429 T_p of up to 4^7 entries, so Gram columns
+        ("S+", 4, 3, 4, helpers.gram_intertwiner_dim),
+        ("O+", 5, 5, 4, helpers.vector_intertwiner_dim),
     ):
         sample = family_category(family, k + l)
-        expected = helpers.vector_intertwiner_dim(sample, k, l, n)
-        assert intertwiner_dim(sample, k, l, n) == expected
+        assert intertwiner_dim(sample, k, l, n) == oracle(sample, k, l, n)
     # every coarsening of every member has at most n blocks; T_p has n^6
     # entries here, so these go against the Gram columns
     sample = family_category("S+", 6)
