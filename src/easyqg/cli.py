@@ -4,6 +4,12 @@ Every computation is a subcommand emitting deterministic JSON (the machine
 contract) or a plain-text rendering.  Exit codes: 0 success, 2 parse or
 usage error, 3 precondition violation, 4 non-stabilizing K-theory run
 under --strict.
+
+The layers that only some subcommands run (``conditions``, ``ktheory``,
+``tmaps``) are imported inside their ``_run_*`` function, so a short query
+does not pay for loading them.  Their names are looked up on the module at
+call time, so a function rebound on the module after import is the one
+called.
 """
 
 from __future__ import annotations
@@ -12,9 +18,7 @@ import argparse
 import json
 import sys
 
-from . import conditions as conditions_mod
 from . import fusion as fusion_mod
-from . import ktheory as ktheory_mod
 from .categories import FAMILIES, family_category, generate_category, k_param
 from .errors import EasyQGError, ParseError
 from .partitions import (
@@ -28,7 +32,6 @@ from .partitions import (
     tensor,
     to_literal,
 )
-from .tmaps import intertwiner_dim
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -241,6 +244,8 @@ def _run_fusion(args) -> dict:
 
 
 def _run_conditions(args) -> dict:
+    from . import conditions as conditions_mod
+
     s = _require_s(args)
     report = conditions_mod.evaluate_conditions(
         args.family,
@@ -253,6 +258,9 @@ def _run_conditions(args) -> dict:
 
 
 def _run_ktheory(args) -> tuple[dict, bool]:
+    from . import conditions as conditions_mod
+    from . import ktheory as ktheory_mod
+
     s = _require_s(args)
     ring = fusion_mod.get_ring(args.family, s)
     _, witness, note = conditions_mod.check_c2(
@@ -268,12 +276,14 @@ def _run_ktheory(args) -> tuple[dict, bool]:
 
 
 def _run_intertwiners(args) -> dict:
+    from . import tmaps as tmaps_mod
+
     s = _require_s(args)
     bound = args.max_points
     if bound is None:
         bound = max(args.k + args.l, 2)
     sample = family_category(args.family, bound, s=s)
-    dim, basis = intertwiner_dim(sample, args.k, args.l, args.n)
+    dim, basis = tmaps_mod.intertwiner_dim(sample, args.k, args.l, args.n)
     return {
         "dim": dim,
         "basis": [to_literal(p) for p in basis],

@@ -386,7 +386,10 @@ def chain_group_order(ring: FusionRing, level_cap: int = SEARCH_LEVEL_CAP) -> in
     Two labels are identified when they appear in a common tensor power of
     the fundamental; the quotient is the chain group, computed here rather
     than assumed.  Returns the class count (the group is cyclic, generated
-    by the class of the fundamental).
+    by the class of the fundamental).  The count is certified only once
+    some power 1..level_cap falls in the class of the trivial power 0, so
+    that the class of the fundamental is seen to close up; otherwise
+    NotReachable is raised rather than a count of the classes seen so far.
     """
     parent: dict = {}
 
@@ -401,12 +404,19 @@ def chain_group_order(ring: FusionRing, level_cap: int = SEARCH_LEVEL_CAP) -> in
         if rx != ry:
             parent[rx] = ry
 
+    firsts = []
     for ell in range(level_cap + 1):
         labels = sorted(ring.support(ell), key=ring.sort_key)
         for lab in labels:
             parent.setdefault(lab, lab)
         for lab in labels[1:]:
             union(labels[0], lab)
+        firsts.append(labels[0])
+    trivial = find(firsts[0])
+    if all(find(lab) != trivial for lab in firsts[1:]):
+        raise NotReachable(
+            f"no power 1..{level_cap} of the fundamental returns to the trivial class"
+        )
     return len({find(x) for x in parent})
 
 

@@ -67,6 +67,20 @@ def test_fusion_chaingroup(capsys):
     assert payload == {"order": 4}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--family", "H+", "--s", "3", "--level-cap", "1"),
+        ("--family", "O+", "--level-cap", "0"),
+    ],
+)
+def test_fusion_chaingroup_small_cap_exit_3(capsys, argv):
+    code, out, err = run(capsys, "fusion", "chaingroup", *argv)
+    assert code == EXIT_PRECONDITION
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_fusion_degree(capsys):
     payload = run_json(
         capsys, "fusion", "degree", "--family", "H+", "--s", "3", "r[1,2,1]"
@@ -219,6 +233,31 @@ def test_malformed_entry_cap_exit_2():
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: EASYQG_MAX_TMAP_ENTRIES")
     assert "Traceback" not in proc.stderr
+
+
+def test_cli_import_loads_only_the_cheap_layers():
+    # a fresh interpreter, because this one has imported every module already
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    code = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
+import easyqg.cli
+heavy = ("easyqg.tmaps", "easyqg.ktheory", "easyqg.conditions", "dataclasses", "fractions")
+loaded = sorted(set(heavy) & (set(sys.modules) - before))
+with contextlib.redirect_stdout(io.StringIO()):
+    code = easyqg.cli.main(["intertwiners", "--family", "O+", "--k", "1", "--l", "1", "--n", "2"])
+print(json.dumps({"loaded": loaded, "code": code, "tmaps": "easyqg.tmaps" in sys.modules}))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, src], capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"loaded": [], "code": EXIT_OK, "tmaps": True}
 
 
 def test_ktheory_strict_exit_4(capsys):

@@ -217,6 +217,24 @@ def test_chain_groups():
     assert chain_group_order(get_ring("S+"), 10) == 1
 
 
+@pytest.mark.parametrize(
+    "family,s,order",
+    [("O+", None, 2), ("S+", None, 1)] + [("H+", s, s) for s in range(1, 5)],
+)
+def test_chain_group_exact_or_not_reachable_at_every_cap(family, s, order):
+    # a cap too small to certify the count raises; it never gives a wrong order
+    ring = get_ring(family, s)
+    answered = []
+    for cap in range(11):
+        try:
+            got = chain_group_order(ring, cap)
+        except NotReachable:
+            continue
+        assert got == order, (cap, got)
+        answered.append(cap)
+    assert answered and answered == list(range(answered[0], 11))
+
+
 def test_chain_classes_match_degree_mod_s():
     # labels co-occur in a power exactly when their degrees agree mod s
     for s in (2, 3):
