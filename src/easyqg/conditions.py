@@ -40,6 +40,19 @@ UNDETERMINED = "undetermined"
 
 
 @dataclass
+class CPVerdicts:
+    """k(C), the verdicts (C_P1) and (C_P2) with their witnesses, and the
+    clause of the characterization that decided them."""
+
+    k: int
+    cp1: str = FAILS
+    cp2: str = FAILS
+    rule: str = "a"
+    cp1_witness: str | None = None
+    cp2_witness: str | None = None
+
+
+@dataclass
 class ConditionReport:
     family: str
     s: int | None
@@ -49,12 +62,7 @@ class ConditionReport:
     c2_status: str
     c2_witness: tuple[int, int] | None
     c2_note: str
-    cp1_status: str
-    cp2_status: str
-    cp_rule: str
-    cp1_witness: str | None
-    cp2_witness: str | None
-    k_value: int
+    cp: CPVerdicts
     consistent: bool
     bounds_used: dict = field(default_factory=dict)
 
@@ -62,7 +70,7 @@ class ConditionReport:
         return {
             "family": self.family,
             "s": self.s,
-            "k": self.k_value,
+            "k": self.cp.k,
             "C1": {
                 "status": self.c1_status,
                 "witnesses": self.c1_witnesses,
@@ -77,9 +85,9 @@ class ConditionReport:
                 ),
                 "note": self.c2_note,
             },
-            "CP1": {"status": self.cp1_status, "witness": self.cp1_witness},
-            "CP2": {"status": self.cp2_status, "witness": self.cp2_witness},
-            "cp_rule": self.cp_rule,
+            "CP1": {"status": self.cp.cp1, "witness": self.cp.cp1_witness},
+            "CP2": {"status": self.cp.cp2, "witness": self.cp.cp2_witness},
+            "cp_rule": self.cp.rule,
             "consistent": self.consistent,
             "bounds_used": self.bounds_used,
         }
@@ -182,41 +190,34 @@ def cp2_witness(
     return None
 
 
-def classify_cp(sample: PartitionCategorySample) -> dict:
+def classify_cp(sample: PartitionCategorySample) -> CPVerdicts:
     """Apply the characterization clauses to a category sample."""
-    k = k_param(sample)
-    result = {
-        "k": k,
-        "cp1": FAILS,
-        "cp2": FAILS,
-        "rule": "a",
-        "cp1_witness": None,
-        "cp2_witness": None,
-    }
-    if k == 0:
+    result = CPVerdicts(k_param(sample))
+    if result.k == 0:
         if any(g.points > sample.max_points for g in sample.generators):
             # a generator the bound cannot see may carry c != 0
-            result.update(cp1=UNDETERMINED, cp2=UNDETERMINED, rule="none")
+            result.cp1 = result.cp2 = UNDETERMINED
+            result.rule = "none"
         return result
     double_pair = tensor(lower_pair(WHITE, WHITE), lower_pair(BLACK, BLACK))
     four_block = four_block_wwbb()
     if double_pair in sample:
-        result["cp1"] = HOLDS
-        result["rule"] = "b"
-        result["cp1_witness"] = to_literal(double_pair)
+        result.cp1 = HOLDS
+        result.rule = "b"
+        result.cp1_witness = to_literal(double_pair)
     elif four_block in sample:
-        result["cp1"] = HOLDS
-        result["rule"] = "c"
-        result["cp1_witness"] = to_literal(four_block)
+        result.cp1 = HOLDS
+        result.rule = "c"
+        result.cp1_witness = to_literal(four_block)
     else:
-        result["cp1"] = UNDETERMINED
-        result["rule"] = "none"
-    witness = cp2_witness(sample, k)
+        result.cp1 = UNDETERMINED
+        result.rule = "none"
+    witness = cp2_witness(sample, result.k)
     if witness is not None:
-        result["cp2"] = HOLDS
-        result["cp2_witness"] = to_literal(witness[0])
+        result.cp2 = HOLDS
+        result.cp2_witness = to_literal(witness[0])
     else:
-        result["cp2"] = UNDETERMINED
+        result.cp2 = UNDETERMINED
     return result
 
 
@@ -236,10 +237,10 @@ def evaluate_conditions(
     cp = classify_cp(sample)
 
     if family == "U+":
-        c1_status = FAILS if cp["k"] == 0 else UNDETERMINED
+        c1_status = FAILS if cp.k == 0 else UNDETERMINED
         c1_witnesses: dict[str, str] = {}
         c1_note = "partition-backed proxy: k(C) = 0 forbids invariant vectors"
-        c2_status, c2_witness, c2_note = check_c2_partition_proxy(sample, cp["k"])
+        c2_status, c2_witness, c2_note = check_c2_partition_proxy(sample, cp.k)
     else:
         ring = get_ring(family, s)
         c1_status, c1_witnesses = check_c1(ring, degree_cap)
@@ -247,11 +248,11 @@ def evaluate_conditions(
         c2_status, c2_witness, c2_note = check_c2(ring, level_cap)
 
     implied_ok = True
-    if cp["cp1"] == HOLDS and c1_status == FAILS:
+    if cp.cp1 == HOLDS and c1_status == FAILS:
         implied_ok = False
-    if cp["cp2"] == HOLDS and c2_status == FAILS:
+    if cp.cp2 == HOLDS and c2_status == FAILS:
         implied_ok = False
-    if c2_witness and cp["k"] > 0 and c2_witness[1] != cp["k"]:
+    if c2_witness and cp.k > 0 and c2_witness[1] != cp.k:
         implied_ok = False
 
     return ConditionReport(
@@ -263,12 +264,7 @@ def evaluate_conditions(
         c2_status=c2_status,
         c2_witness=c2_witness,
         c2_note=c2_note,
-        cp1_status=cp["cp1"],
-        cp2_status=cp["cp2"],
-        cp_rule=cp["rule"],
-        cp1_witness=cp["cp1_witness"],
-        cp2_witness=cp["cp2_witness"],
-        k_value=cp["k"],
+        cp=cp,
         consistent=implied_ok,
         bounds_used={
             "max_points": max_points,

@@ -335,6 +335,17 @@ class HWordRing(FusionRing):
         cached = self._dim_cache.get(key)
         if cached is not None:
             return cached
+        if len(label) > 2 and (label[:-1], n) not in self._dim_cache:
+            # r_y tensor r_j adds to r_{y+j} only y[:-1] + (y[-1] + j,) and y[:-1],
+            # so the expansion reaches only prefixes of the label plus one letter:
+            # fill those in shortest first, so the recursion stays shallow.
+            tails, words = {label[-1]}, []
+            for m in range(len(label) - 1, 1, -1):
+                last = label[m - 1]
+                tails = {last} | {(last + c) % self.s or self.s for c in tails}
+                words.extend(label[: m - 1] + (c,) for c in tails)
+            for word in reversed(words):
+                self.dim(word, n)
         if not label:
             value = 1
         elif len(label) == 1:
@@ -366,11 +377,11 @@ def get_ring(family: str, s: int | None = None) -> FusionRing:
     key = (family, s)
     ring = _RING_CACHE.get(key)
     if ring is None:
-        if family in ("O+", "su2"):
+        if family == "O+":
             ring = SU2Ring()
-        elif family in ("S+", "so3"):
+        elif family == "S+":
             ring = SO3Ring()
-        elif family in ("H+", "hword"):
+        elif family == "H+":
             if s is None or s < 1:
                 raise ValueError("family H+ needs s >= 1")
             ring = HWordRing(s)

@@ -614,10 +614,8 @@ def k_groups(
         else:
             steps.append(_snf_step(src, dst))
 
-    k1 = 0 if all(s.ker_rank_phi == 0 and s.ker_rank_psi == 0 for s in steps) else None
-    if k1 is None:
-        ranks = [s.ker_rank_phi for s in steps]
-        k1 = ranks[-1] if len(set(ranks[-2:])) == 1 else None
+    ranks = [s.ker_rank_phi for s in steps]
+    k1 = ranks[-1] if len(set(ranks[-2:])) == 1 else None
 
     stabilized = False
     k0 = None

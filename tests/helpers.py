@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from easyqg import (
     BLACK,
     ColoredPartition,
+    InconsistentDimension,
     WHITE,
     color_counts,
     compose,
@@ -259,6 +260,34 @@ def first_power(ring, label, cap: int) -> int | None:
         if label in ring.power(e):
             return e
     return None
+
+
+def recursive_word_dim(ring, label: tuple, n: int, cache: dict | None = None) -> int:
+    """dim of a word from the expansion of r_y tensor r_j, plain recursion.
+
+    A word-family dim oracle: one call per letter deep, memoized in
+    ``cache``, raising ``InconsistentDimension`` on a value <= 0 as the
+    ring does.
+    """
+    cache = {} if cache is None else cache
+    if label in cache:
+        return cache[label]
+    if not label:
+        value = 1
+    elif len(label) == 1:
+        value = n - 1 if label[0] == ring.s else n
+    else:
+        y, j = label[:-1], label[-1:]
+        value = recursive_word_dim(ring, y, n, cache) * recursive_word_dim(ring, j, n, cache)
+        for gamma, mult in ring.decompose(y, j).items():
+            if gamma == label:
+                mult -= 1
+            if mult:
+                value -= mult * recursive_word_dim(ring, gamma, n, cache)
+    if value <= 0:
+        raise InconsistentDimension(f"dim {label} = {value} at n={n}")
+    cache[label] = value
+    return value
 
 
 def member_loop_k(sample) -> int:

@@ -205,7 +205,7 @@ def test_criterion_9_condition_verdicts():
             assert status == "holds"
             assert witness == (1, k)
             cp = classify_cp(sample)
-            assert cp["cp1"] == "holds" and cp["cp2"] == "holds"
+            assert cp.cp1 == "holds" and cp.cp2 == "holds"
         report = evaluate_conditions("U+", level_cap=10).to_dict()
         assert report["C1"]["status"] == "fails"
         assert report["C2"]["status"] == "fails"

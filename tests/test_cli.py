@@ -2,12 +2,28 @@
 
 from __future__ import annotations
 
+import argparse
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from easyqg.cli import EXIT_NONSTABLE, EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, main
+from easyqg.categories import FAMILIES
+from easyqg.cli import (
+    EXIT_NONSTABLE,
+    EXIT_OK,
+    EXIT_PARSE,
+    EXIT_PRECONDITION,
+    build_parser,
+    main,
+)
 from easyqg.fusion import SEARCH_LEVEL_CAP
+from easyqg.partitions import to_literal
+
+import helpers
 
 
 def run(capsys, *argv):
@@ -325,3 +341,98 @@ def test_text_format(capsys):
     )
     assert code == EXIT_OK
     assert out.strip() == "degree: 4"
+
+
+# -- the exit-code contract, over argv drawn from the subcommand table ---------
+
+
+def _leaves(parser, path=()):
+    """``(path, parser)`` of every leaf subcommand, in the parser's order."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return [
+                leaf
+                for name, sub in action.choices.items()
+                for leaf in _leaves(sub, path + (name,))
+            ]
+    return [(path, parser)]
+
+
+_LITERALS = st.one_of(
+    helpers.colored_partitions(max_points=4).map(to_literal),
+    st.sampled_from(["P(1,1;w;w;{1,2})", "P(2,0;wb;;{{1,2}})", "P(1"]),
+)
+_LABELS = st.sampled_from(["u0", "u1", "u2", "u3", "r[]", "r[1]", "r[2,1]", "r[3]@3", "r[5]", "v"])
+# one strategy per argparse dest; each count reaches one below its least value
+_VALUES = {
+    "literals": _LITERALS,
+    "generators": _LITERALS,
+    "corner": st.sampled_from(["UL", "UR", "LL", "LR"]),
+    "family": st.sampled_from(FAMILIES),
+    "s": st.integers(-1, 4),
+    "labels": _LABELS,
+    "label": _LABELS,
+    "max_points": st.integers(1, 6),
+    "k": st.integers(-1, 6),
+    "l": st.integers(-1, 6),
+    "n": st.integers(0, 3),
+    "L": st.integers(0, 3),
+    "level_cap": st.integers(-1, 4),
+    "degree_cap": st.integers(-1, 4),
+}
+
+
+@st.composite
+def cli_argv(draw):
+    path, parser = draw(st.sampled_from(_leaves(build_parser())))
+    positional, options, drawn = [], [], {}
+    for action in parser._actions:
+        if action.dest in ("help", "format"):
+            continue
+        # positionals and required options always, other options sometimes
+        if action.option_strings and not action.required and not draw(st.booleans()):
+            continue
+        if action.nargs == 0:
+            options.append(action.option_strings[0])
+            continue
+        if action.nargs == "*":
+            count = draw(st.integers(0, 2))
+        else:
+            count = action.nargs or 1
+        drawn[action.dest] = [draw(_VALUES[action.dest]) for _ in range(count)]
+        words = [str(v) for v in drawn[action.dest]]
+        if action.option_strings:
+            options += [action.option_strings[0], *words]
+        else:
+            positional += words
+    assume(sum(drawn.get("k", [])) + sum(drawn.get("l", [])) <= 6)
+    return [*path, *positional, *options]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(cli_argv())
+def test_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejected the command line
+            code = exc.code
+            assert code == EXIT_PARSE
+    assert code in (EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, EXIT_NONSTABLE), argv
+    if code in (EXIT_OK, EXIT_NONSTABLE):
+        json.loads(out.getvalue())
+    else:
+        assert out.getvalue() == "", argv
+        assert "Traceback" not in err.getvalue()
+
+
+def test_format_follows_the_leaf_subcommand(capsys):
+    literal = "P(1,1;w;w;{{1,2}})"
+    with pytest.raises(SystemExit) as exc:
+        main(["partition", "--format", "text", "involute", literal])
+    assert exc.value.code == EXIT_PARSE
+    assert capsys.readouterr().out == ""
+    code, out, _ = run(capsys, "partition", "involute", "--format", "text", literal)
+    assert code == EXIT_OK
+    assert out == f"result: {literal}\n"

@@ -119,16 +119,16 @@ def test_c2_proxy_gap_matches_member_loop(family, s):
 def test_classify_cp(family, s, cp1, cp2, rule):
     sample = family_category(family, 8, s=s)
     result = classify_cp(sample)
-    assert result["cp1"] == cp1
-    assert result["cp2"] == cp2
-    assert result["rule"] == rule
+    assert result.cp1 == cp1
+    assert result.cp2 == cp2
+    assert result.rule == rule
 
 
 def test_generator_beyond_bound_leaves_cp_undetermined():
     # b_9 has 9 points, so the default bound of 8 sees only balanced members
     report = evaluate_conditions("H+", s=9)
-    assert report.k_value == 0
-    assert (report.cp1_status, report.cp2_status, report.cp_rule) == (
+    assert report.cp.k == 0
+    assert (report.cp.cp1, report.cp.cp2, report.cp.rule) == (
         UNDETERMINED, UNDETERMINED, "none"
     )
     assert (report.c2_status, report.c2_witness) == (HOLDS, (1, 9))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import sys
 from random import Random
 
 import pytest
@@ -14,6 +15,7 @@ from easyqg import (
     NotReachable,
     OddLabel,
     ParseError,
+    WrongFamily,
     chain_group_order,
     get_ring,
 )
@@ -280,6 +282,43 @@ def test_hword_dims():
         for total in range(9):
             for w in helpers.compositions(total, s):
                 assert ring.dim(w, 4) > 0
+
+
+def _dim_or_none(dim, *args):
+    try:
+        return dim(*args)
+    except InconsistentDimension:
+        return None
+
+
+def test_hword_dims_match_the_recursion():
+    # each word is filled in through its shorter words first; the values, and
+    # where a value <= 0 makes it raise, are those of the plain recursion
+    for s in (2, 3, 4):
+        for n in (2, 3, 4, 5):
+            ring = HWordRing(s)
+            for total in range(9):
+                for w in helpers.compositions(total, s):
+                    expected = _dim_or_none(helpers.recursive_word_dim, HWordRing(s), w, n)
+                    assert _dim_or_none(ring.dim, w, n) == expected, (s, n, w)
+
+
+def test_hword_dim_of_a_long_word():
+    # a recursion one call per letter deep died here with RecursionError
+    ring = HWordRing(3)
+    word = (1,) * 1200
+    value = ring.dim(word, 10)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(10_000)
+    try:
+        assert value == helpers.recursive_word_dim(ring, word, 10)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_get_ring_takes_only_the_cli_family_names():
+    with pytest.raises(WrongFamily):
+        get_ring("su2")
 
 
 def test_hword_s1_dims_match_so3():
