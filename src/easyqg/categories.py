@@ -35,7 +35,7 @@ from collections import deque
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import BoundTooSmall
+from .errors import BoundTooSmall, PreconditionError, WrongFamily
 from .partitions import (
     BASE_PARTITIONS,
     BLACK,
@@ -70,9 +70,9 @@ def family_generators(family: str, s: int | None = None) -> tuple[ColoredPartiti
         return (vertical_pair(WHITE, BLACK), singleton(WHITE), four_block_wwbb())
     if family == "H+":
         if s is None or s < 1:
-            raise ValueError("family H+ needs s >= 1")
+            raise PreconditionError("family H+ needs s >= 1")
         return (b_block(s), four_block_wwbb())
-    raise ValueError(f"unknown family {family!r}")
+    raise WrongFamily(f"unknown family {family!r}")
 
 
 class PartitionCategorySample:
@@ -280,7 +280,7 @@ def _block_ok(family: str, s: int | None, colors: Sequence[str]) -> bool:
         return len(colors) == 2 and charge(colors) == 0
     if family == "H+":
         return charge(colors) % s == 0
-    raise ValueError(f"unknown family {family!r}")
+    raise WrongFamily(f"unknown family {family!r}")
 
 
 @lru_cache(maxsize=None)
@@ -313,7 +313,7 @@ def family_category(
 ) -> PartitionCategorySample:
     """The bounded sample of one of the shipped families, enumerated lazily."""
     if family == "H+" and (s is None or s < 1):
-        raise ValueError("family H+ needs s >= 1")
+        raise PreconditionError("family H+ needs s >= 1")
     if family != "H+":
         s = None
     if max_points < 2:

@@ -4,7 +4,8 @@ Irreducible labels are plain data: an integer k for the u_k families, a
 tuple of letters in {1, ..., s} for the word family (the class of 0 is
 written as the letter s).  A fusion vector is a dict mapping labels to
 integer multiplicities with no stored zeros.  The ring object carries the
-family tag and all memoized products, so labels never need to.
+family tag and the memoized powers and dims, so labels never need to; a
+product of two labels is computed afresh on every call.
 
 The word family (s >= 1) follows the two monoid rules
 
@@ -27,6 +28,7 @@ from .errors import (
     NotReachable,
     OddLabel,
     ParseError,
+    PreconditionError,
     WrongFamily,
 )
 
@@ -102,7 +104,6 @@ class FusionRing:
     family: str = "?"
 
     def __init__(self):
-        self._pair_cache: dict[tuple, dict] = {}
         self._power_cache: dict[tuple, list[dict]] = {}
 
     # subclass surface -------------------------------------------------
@@ -135,13 +136,9 @@ class FusionRing:
     # shared machinery ---------------------------------------------------
 
     def decompose(self, a, b) -> dict:
-        key = (a, b)
-        cached = self._pair_cache.get(key)
-        if cached is None:
-            cached = self._pair(a, b)
-            assert all(m > 0 for m in cached.values())
-            self._pair_cache[key] = cached
-        return cached
+        product = self._pair(a, b)
+        assert all(m > 0 for m in product.values())
+        return product
 
     def multiply(self, va: dict, vb: dict) -> dict:
         out: dict = {}
@@ -153,7 +150,7 @@ class FusionRing:
     def vector_power(self, generator: dict, exponent: int) -> dict:
         """generator^(tensor exponent), memoized level by level."""
         if exponent < 0:
-            raise ValueError("exponent must be >= 0")
+            raise PreconditionError("exponent must be >= 0")
         key = _freeze(generator)
         levels = self._power_cache.setdefault(key, [{self.trivial(): 1}])
         while len(levels) <= exponent:
@@ -290,7 +287,7 @@ class HWordRing(FusionRing):
 
     def __init__(self, s: int):
         if s < 1:
-            raise ValueError("s must be >= 1")
+            raise PreconditionError("s must be >= 1")
         super().__init__()
         self.s = s
         self._letters = frozenset(range(1, s + 1))
@@ -383,7 +380,7 @@ def get_ring(family: str, s: int | None = None) -> FusionRing:
             ring = SO3Ring()
         elif family == "H+":
             if s is None or s < 1:
-                raise ValueError("family H+ needs s >= 1")
+                raise PreconditionError("family H+ needs s >= 1")
             ring = HWordRing(s)
         else:
             raise WrongFamily(f"no fusion ring shipped for family {family!r}")

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import NotReachable, ShapeMismatch, WrongFamily
+from .errors import NotReachable, PreconditionError, ShapeMismatch, WrongFamily
 from .fusion import DEFAULT_LEVEL_CAP, FusionRing, HWordRing, _add_scaled
 
 
@@ -416,9 +416,9 @@ def build_levels(
     first, so the boundary is the trailing run of the basis.
     """
     if k_0 < 1:
-        raise ValueError("k_0 must be >= 1")
+        raise PreconditionError("k_0 must be >= 1")
     if levels < 0:
-        raise ValueError("levels must be >= 0")
+        raise PreconditionError("levels must be >= 0")
     beta = ring.vector_power(fundamental, k_0)
     for start in range(DEFAULT_LEVEL_CAP + 1):
         basis = tuple(sorted(ring.vector_power(fundamental, start), key=ring.sort_key))
@@ -593,7 +593,7 @@ def k_groups(
     rather than assumes.
     """
     if levels < 1:
-        raise ValueError("need at least one level step")
+        raise PreconditionError("need at least one level step")
     mods = build_levels(ring, fundamental, k_0, levels)
     # the top basis is sorted by the ring's order and holds every label
     rank = {y: i for i, y in enumerate(mods[-1].basis)}

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import sys
+import tracemalloc
 from random import Random
 
 import pytest
@@ -95,7 +96,7 @@ def splitting_oracle(x: tuple, y: tuple, s: int) -> dict:
 
 def test_decompose_matches_splitting_oracle():
     for s in range(1, 5):
-        ring = HWordRing(s)  # a fresh ring, so its pair cache is dropped after
+        ring = HWordRing(s)
         words = [
             w for length in range(5)
             for w in itertools.product(range(1, s + 1), repeat=length)
@@ -314,6 +315,21 @@ def test_hword_dim_of_a_long_word():
         assert value == helpers.recursive_word_dim(ring, word, 10)
     finally:
         sys.setrecursionlimit(limit)
+
+
+def test_hword_dim_of_a_long_word_keeps_only_its_dims():
+    # the products of the expansion are read once each, so after the call the
+    # ring keeps the dims of the prefixes it filled in, not those products
+    word = tuple(Random(0).choice((1, 2, 3)) for _ in range(1200))
+    ring = HWordRing(3)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ring.dim(word, 10)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 40 * 2**20
 
 
 def test_get_ring_takes_only_the_cli_family_names():

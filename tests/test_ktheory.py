@@ -191,6 +191,29 @@ def test_diagram_commutes():
     assert check_diagram_commutes(h2, h2.fundamental(), 2, 1)
 
 
+class SecondSquareDoubled(SU2Ring):
+    """The SU(2) ladder, but the second u_2 (x) u_2 it computes has 2 u_2."""
+
+    def __init__(self):
+        super().__init__()
+        self.squares = 0
+
+    def _pair(self, a: int, b: int) -> dict:
+        out = super()._pair(a, b)
+        if (a, b) == (2, 2):
+            self.squares += 1
+            if self.squares == 2:
+                out[2] = 2
+        return out
+
+
+def test_diagram_check_compares_separate_products():
+    # psi(u_2) is computed at level 1 and again at level 2; the check must see
+    # the two differ, so neither may be served from the other
+    ring = SecondSquareDoubled()
+    assert not k_groups(ring, ring.fundamental(), 2, 3).diagram_commutes
+
+
 def test_psi_equals_phi_plus_inclusion():
     h2 = get_ring("H+", 2)
     levels = build_levels(h2, h2.fundamental(), 2, 2)
@@ -284,7 +307,7 @@ def test_engine_matches_snf_oracle(family, s, k_0, levels):
 def test_levels_match_power_sweep(family, s, k_0, levels):
     ring = get_ring(family, s)
     mods = build_levels(ring, ring.fundamental(), k_0, levels)
-    # a ring object with none of the cached ring's products
+    # a ring object with none of the cached ring's powers
     fresh = HWordRing(s) if family == "H+" else {"O+": SU2Ring, "S+": SO3Ring}[family]()
     oracle = helpers.power_sweep_levels(fresh, k_0, levels)
     assert [(m.power, m.basis, m.boundary_basis) for m in mods] == oracle

@@ -57,3 +57,37 @@ def test_submodules_still_import_by_name():
 
 def test_dir_lists_the_exports():
     assert set(EXPORTED) <= set(dir(easyqg))
+
+
+@pytest.mark.parametrize("call,error", [
+    pytest.param(lambda: easyqg.get_ring("H+"), easyqg.PreconditionError, id="get_ring-s-None"),
+    pytest.param(lambda: easyqg.get_ring("H+", 0), easyqg.PreconditionError, id="get_ring-s-0"),
+    pytest.param(lambda: easyqg.family_generators("H+"), easyqg.PreconditionError,
+                 id="family_generators-s-None"),
+    pytest.param(lambda: easyqg.family_generators("H+", 0), easyqg.PreconditionError,
+                 id="family_generators-s-0"),
+    pytest.param(lambda: easyqg.family_generators("B+"), easyqg.WrongFamily,
+                 id="family_generators-unknown"),
+    pytest.param(lambda: easyqg.family_category("H+", 4), easyqg.PreconditionError,
+                 id="family_category-s-None"),
+    pytest.param(lambda: easyqg.family_category("H+", 4, s=0), easyqg.PreconditionError,
+                 id="family_category-s-0"),
+    pytest.param(lambda: easyqg.PartitionCategorySample((), 4, True, family="B+"),
+                 easyqg.WrongFamily, id="block_rule-unknown"),
+    pytest.param(lambda: easyqg.HWordRing(0), easyqg.PreconditionError, id="HWordRing-s-0"),
+    pytest.param(lambda: easyqg.SU2Ring().vector_power({1: 1}, -1), easyqg.PreconditionError,
+                 id="vector_power-negative"),
+    pytest.param(lambda: easyqg.build_levels(easyqg.SU2Ring(), {1: 1}, 0, 2),
+                 easyqg.PreconditionError, id="build_levels-k_0-0"),
+    pytest.param(lambda: easyqg.build_levels(easyqg.SU2Ring(), {1: 1}, 2, -1),
+                 easyqg.PreconditionError, id="build_levels-levels-negative"),
+    pytest.param(lambda: easyqg.k_groups(easyqg.SU2Ring(), {1: 1}, 2, 0),
+                 easyqg.PreconditionError, id="k_groups-levels-0"),
+])
+def test_out_of_domain_calls_raise_typed_errors(call, error):
+    # the CLI rejects these arguments first; a library caller gets the same
+    # typed errors, which are still ValueErrors
+    with pytest.raises(error) as info:
+        call()
+    assert isinstance(info.value, easyqg.EasyQGError)
+    assert isinstance(info.value, ValueError)
