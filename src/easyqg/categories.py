@@ -101,7 +101,7 @@ class PartitionCategorySample:
         self._members = members
         for base in BASE_PARTITIONS:
             if max_points >= 2 and base not in self:
-                raise ValueError("sample is missing a base partition")
+                raise PreconditionError("sample is missing a base partition")
 
     def __contains__(self, p: ColoredPartition) -> bool:
         if self._members is not None:
@@ -175,8 +175,28 @@ def generate_category(
     The seed's boundary words ``(colors, position blocks)`` are closed under
     the cyclic shift, the involution and ``_glues``; each word gives its
     m + 1 cuts as members.  This least fixed point does not depend on the
-    generator order.  ``max_members`` is a safety valve on the number of
-    words: past it the sample is returned with ``saturated=False``.
+    generator order.
+
+    The queue hands out whole dihedral orbits (``_orbit``: a word with all
+    its cyclic shifts and involutions, added together).  A new orbit's
+    words are glued with the processed words in one order only, ``u`` then
+    ``v``, and with each other in both orders.  The other order is not lost:
+    with v of b positions, ``glue(v, u)`` along t keeps v minus its last t
+    positions and u minus its first t, so it is a cyclic shift of
+    ``glue(rot^t u, rot^(b-t) v)`` along t, a glue of the new orbit with a
+    processed one.  (The involution gives the same through
+    ``inv glue(x, y) = glue(inv y, inv x)``.)
+
+    Partners are looked up, not scanned.  A glue of u (a positions) with v
+    (b positions) along t has a + b - 2t positions, so it needs t >= t_min
+    = max(0, ceil((a + b - max_points) / 2)) met positions, and those need
+    ``v[j] == flip(u[a-1-j])`` for j < t_min.  The processed words are
+    indexed by their length and their first colors, so one lookup per b
+    gives exactly the partners that can glue, in processed order.
+
+    ``max_members`` is a safety valve on the number of words, checked
+    between orbits: once more words than that are known the sample is
+    returned with ``saturated=False``.
     """
     if max_points < 2:
         raise BoundTooSmall("max_points must be at least 2")
@@ -186,30 +206,53 @@ def generate_category(
         if p.points > max_points:
             raise BoundTooSmall(f"seed partition {p!r} exceeds bound {max_points}")
 
-    words = {(boundary_colors(p), _moved(boundary_blocks(p), range(p.points))) for p in seed}
-    queue = deque(sorted(words))
-    processed: list[tuple] = []
-    while queue and (max_members is None or len(words) <= max_members):
-        u = queue.popleft()
-        processed.append(u)
-        colors, blocks = u
-        m = len(colors)
-        found = [
-            (colors[1:] + colors[:1], _moved(blocks, (m - 1, *range(m - 1)))),
-            (tuple(map(flip_color, colors[::-1])), _moved(blocks, range(m - 1, -1, -1))),
-        ]
-        for v in processed:
-            found += [*_glues(u, v, max_points), *_glues(v, u, max_points)]
+    words: set[tuple] = set()
+    queue: deque[list[tuple]] = deque()
+
+    def add(found: Iterable[tuple]) -> None:
         for word in found:
             if word not in words:
-                words.add(word)
-                queue.append(word)
+                orbit = _orbit(word)
+                words.update(orbit)
+                queue.append(orbit)
 
+    add(sorted((boundary_colors(p), _moved(boundary_blocks(p), range(p.points))) for p in seed))
+    # (b, first t colors) -> the processed words of b positions that start so;
+    # t up to ceil(b / 2), the most met positions a t_min asks of b positions
+    partners: dict[tuple, list[tuple]] = {}
+    while queue and (max_members is None or len(words) <= max_members):
+        orbit = queue.popleft()
+        for v in orbit:
+            b = len(v[0])
+            for t in range((b + 1) // 2 + 1):
+                partners.setdefault((b, v[0][:t]), []).append(v)
+        for u in orbit:
+            a = len(u[0])
+            meets = tuple(map(flip_color, reversed(u[0])))  # what v[j] must be
+            for b in range(max_points + 1):
+                t_min = max(0, a + b - max_points + 1) // 2
+                if t_min <= min(a, b):
+                    for v in partners.get((b, meets[:t_min]), ()):
+                        add(_glues(u, v, max_points))
+
+    rows: dict[tuple, tuple] = {}  # one tuple per distinct color row
     members = frozenset(
         p for colors, blocks in words for cut in range(len(colors) + 1)
-        for p in cut_words(cut, [colors], blocks)
+        for p in cut_words(cut, [colors], blocks, rows)
     )
     return PartitionCategorySample(generators, max_points, not queue, members=members)
+
+
+def _orbit(word: tuple) -> list[tuple]:
+    """The word's dihedral orbit: the cyclic shifts of the word and of its
+    involution, in that order and without repeats."""
+    m = len(word[0])
+    involution = tuple(map(flip_color, word[0][::-1])), _moved(word[1], range(m - 1, -1, -1))
+    orbit = {word: None}
+    for colors, blocks in (word, involution):
+        for k in range(m):
+            orbit[colors[k:] + colors[:k], _moved(blocks, [(i - k) % m for i in range(m)])] = None
+    return list(orbit)
 
 
 def _moved(blocks: Iterable[Iterable[int]], position: Sequence[int]) -> tuple:

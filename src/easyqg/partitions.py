@@ -12,7 +12,8 @@ Conventions fixed here and relied on everywhere else:
   linear maps) and also returns the number of blocks that were swallowed
   entirely by the middle row.  Its blocks are joined by ``merge_blocks``,
   the one union-find, which also glues boundary words in the category
-  closure (``categories.generate_category``).
+  closure (``categories.generate_category``, which works on dihedral
+  orbits of words and looks each word's partners up in an index).
 * The boundary word lists the points in cyclic order, upper row left to
   right, then lower row right to left (``boundary_points``), with colors
   inverted on the upper row (``boundary_colors``); a diagram is its word
@@ -37,7 +38,7 @@ import re
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .errors import ColorMismatch, EmptyRow, ParseError, ShapeMismatch
+from .errors import ColorMismatch, EmptyRow, ParseError, PreconditionError, ShapeMismatch
 
 WHITE = "w"
 BLACK = "b"
@@ -69,19 +70,25 @@ def boundary_blocks(p: "ColoredPartition") -> list[list[int]]:
 
 
 def cut_words(
-    k: int, words: Iterable[Sequence[str]], position_blocks: Sequence[Sequence[int]]
+    k: int,
+    words: Iterable[Sequence[str]],
+    position_blocks: Sequence[Sequence[int]],
+    shared: dict | None = None,
 ) -> Iterator["ColoredPartition"]:
     """The diagram of each boundary word in ``words`` over the same
-    ``position_blocks``, cut after ``k`` positions."""
+    ``position_blocks``, cut after ``k`` positions.  With a dict ``shared``,
+    equal color rows become one tuple, the first one kept there."""
     l = sum(map(len, position_blocks)) - k
     points = boundary_points(k, l)
     blocks = [[points[i] for i in b] for b in position_blocks]
     for colors in words:
-        # A list, not a bare map: tuple() of a map guesses its length and
-        # resizes, and such tuples pile up in CPython's tuple free lists.
-        yield ColoredPartition(
-            k, l, [*map(_FLIPPED.__getitem__, colors[:k])], colors[k:][::-1], blocks
-        )
+        # Built from a list, not a bare map: tuple() of a map guesses its
+        # length and resizes, and such tuples pile up in CPython's tuple
+        # free lists.
+        upper, lower = (*map(_FLIPPED.__getitem__, colors[:k]),), colors[k:][::-1]
+        if shared is not None:
+            upper, lower = shared.setdefault(upper, upper), shared.setdefault(lower, lower)
+        yield ColoredPartition(k, l, upper, lower, blocks)
 
 
 def from_boundary(
@@ -336,7 +343,7 @@ def rotate(p: ColoredPartition, corner: str) -> ColoredPartition:
     The moved point's color is inverted; its block membership is kept.
     """
     if corner not in CORNERS:
-        raise ValueError(f"corner must be one of {CORNERS}")
+        raise PreconditionError(f"corner must be one of {CORNERS}")
     if corner[0] == "U" and p.k == 0:
         raise EmptyRow("upper row is empty")
     if corner[0] == "L" and p.l == 0:

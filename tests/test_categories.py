@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from easyqg import (
     BLACK,
@@ -81,6 +83,18 @@ def test_member_cap_counts_words():
 def test_closure_matches_member_closure(generators, bound):
     """The closure on boundary words gives the members of the closure run
     on whole members."""
+    sample = generate_category(generators, bound)
+    assert sample.saturated
+    assert sample.members == helpers.member_closure(generators, bound)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.integers(2, 4).flatmap(lambda bound: st.tuples(
+    st.lists(helpers.colored_partitions(bound), max_size=2), st.just(bound))))
+def test_closure_matches_member_closure_on_random_generators(case):
+    """Random seeds, crossing ones too, close to the members of the closure
+    run on whole members."""
+    generators, bound = case
     sample = generate_category(generators, bound)
     assert sample.saturated
     assert sample.members == helpers.member_closure(generators, bound)

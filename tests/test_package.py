@@ -74,6 +74,10 @@ def test_dir_lists_the_exports():
                  id="family_category-s-0"),
     pytest.param(lambda: easyqg.PartitionCategorySample((), 4, True, family="B+"),
                  easyqg.WrongFamily, id="block_rule-unknown"),
+    pytest.param(lambda: easyqg.PartitionCategorySample((), 4, True, members=frozenset()),
+                 easyqg.PreconditionError, id="sample-missing-base"),
+    pytest.param(lambda: easyqg.rotate(easyqg.identity(), "UX"), easyqg.PreconditionError,
+                 id="rotate-corner-unknown"),
     pytest.param(lambda: easyqg.HWordRing(0), easyqg.PreconditionError, id="HWordRing-s-0"),
     pytest.param(lambda: easyqg.SU2Ring().vector_power({1: 1}, -1), easyqg.PreconditionError,
                  id="vector_power-negative"),
