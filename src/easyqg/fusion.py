@@ -5,7 +5,10 @@ tuple of letters in {1, ..., s} for the word family (the class of 0 is
 written as the letter s).  A fusion vector is a dict mapping labels to
 integer multiplicities with no stored zeros.  The ring object carries the
 family tag and the memoized powers and dims, so labels never need to; a
-product of two labels is computed afresh on every call.
+product of two labels is computed afresh on every call.  Within one call of
+``times_each`` the word ring multiplies each distinct tail once: a product
+r_x r_y reads only the last |y| + 1 letters of x, and the rest of x is a
+prefix of every term.  Nothing is kept across calls.
 
 The word family (s >= 1) follows the two monoid rules
 
@@ -146,6 +149,10 @@ class FusionRing:
             for b, mb in vb.items():
                 _add_scaled(out, self.decompose(a, b), ma * mb)
         return out
+
+    def times_each(self, labels, vec: dict) -> dict:
+        """{x: x vec} for every label x, each product computed in this call."""
+        return {x: self.multiply({x: 1}, vec) for x in labels}
 
     def vector_power(self, generator: dict, exponent: int) -> dict:
         """generator^(tensor exponent), memoized level by level."""
@@ -301,6 +308,26 @@ class HWordRing(FusionRing):
 
     def _pair(self, a: tuple, b: tuple) -> dict:
         return _pair_product(a, b, self.s)
+
+    def times_each(self, labels, vec: dict) -> dict:
+        """{x: x vec}, multiplying each distinct tail of the labels once.
+
+        With keep = max |y| + 1 over vec, a splitting of x y cancels at most
+        |y| letters of x and fuses only the letter before them, so
+        x = head + tail with |tail| = keep gives x y = head + (tail y) term
+        by term, in the same order.  The tail products live only for this
+        call.
+        """
+        keep = max(map(len, vec), default=0) + 1
+        tails: dict[tuple, dict] = {}
+        out = {}
+        for x in labels:
+            head, tail = x[:-keep], x[-keep:]
+            product = tails.get(tail)
+            if product is None:
+                product = tails[tail] = self.multiply({tail: 1}, vec)
+            out[x] = {head + y: m for y, m in product.items()}
+        return out
 
     def conjugate(self, label: tuple) -> tuple:
         return _involution(label, self.s)

@@ -48,9 +48,9 @@ class IntMatrix:
         self.rows = len(self.data) if rows is None else rows
         self.cols = (len(self.data[0]) if self.data else 0) if cols is None else cols
         if self.rows and any(len(row) != self.cols for row in self.data):
-            raise ValueError("ragged rows")
+            raise PreconditionError("ragged rows")
         if rows is not None and len(self.data) != rows:
-            raise ValueError("row count mismatch")
+            raise PreconditionError("row count mismatch")
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -362,12 +362,12 @@ class FGAbelianGroup:
 
     def __post_init__(self):
         if self.free_rank < 0:
-            raise ValueError("free rank must be >= 0")
+            raise PreconditionError("free rank must be >= 0")
         if any(d <= 1 for d in self.torsion):
-            raise ValueError("torsion factors must exceed 1")
+            raise PreconditionError("torsion factors must exceed 1")
         for a, b in zip(self.torsion, self.torsion[1:]):
             if b % a:
-                raise ValueError("torsion factors must form a divisibility chain")
+                raise PreconditionError("torsion factors must form a divisibility chain")
 
     def __str__(self) -> str:
         parts = []
@@ -449,9 +449,11 @@ def build_levels(
 def psi_columns(ring: FusionRing, basis, beta: dict) -> dict:
     """psi(x) = x beta for every basis label x, as fusion vectors.
 
-    phi(x) = psi(x) - x, so these columns carry both maps of a step.
+    phi(x) = psi(x) - x, so these columns carry both maps of a step.  Each
+    call computes its columns afresh, so the diagram check compares
+    products made separately at each level.
     """
-    return {x: ring.multiply({x: 1}, beta) for x in basis}
+    return ring.times_each(basis, beta)
 
 
 def _unitriangular(psi: dict, rank: dict) -> bool:

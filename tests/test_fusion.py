@@ -8,6 +8,8 @@ import tracemalloc
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from easyqg import (
     HWordRing,
@@ -16,6 +18,8 @@ from easyqg import (
     NotReachable,
     OddLabel,
     ParseError,
+    SO3Ring,
+    SU2Ring,
     WrongFamily,
     chain_group_order,
     get_ring,
@@ -104,6 +108,61 @@ def test_decompose_matches_splitting_oracle():
         for x in words:
             for y in words:
                 assert ring.decompose(x, y) == splitting_oracle(x, y, s)
+
+
+@st.composite
+def labels_and_vector(draw):
+    """s, word labels and a word vector whose terms cancel into the labels.
+
+    Besides random words, vec holds the conjugate of a suffix of one label,
+    so products cancel several letters; most labels are shorter than
+    max |y| + 1 or only a little longer.
+    """
+    s = draw(st.integers(1, 5))
+    words = st.lists(st.integers(1, s), max_size=7).map(tuple)
+    labels = draw(st.lists(words, min_size=1, max_size=8))
+    vec = draw(st.dictionaries(
+        st.lists(st.integers(1, s), max_size=3).map(tuple), st.integers(1, 3),
+        max_size=4,
+    ))
+    label = draw(st.sampled_from(labels))
+    cut = draw(st.integers(0, min(len(label), 4)))
+    suffix = label[len(label) - cut:]
+    vec[tuple((-a) % s or s for a in reversed(suffix))] = draw(st.integers(1, 3))
+    return s, [()] + labels, vec
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(labels_and_vector())
+@example((2, [(), (1,), (2, 1, 1, 2), (1, 2, 1, 1, 2)], {(): 2, (1, 1): 1, (2,): 3}))
+@example((5, [(), (3,), (1, 4, 2, 3)], {(2, 3, 1): 2, (4,): 1}))
+def test_times_each_matches_splitting_oracle(case):
+    # the word ring multiplies each distinct tail once; every column must
+    # still be the sum of the pair products over vec
+    s, labels, vec = case
+    got = HWordRing(s).times_each(labels, vec)
+    assert set(got) == set(labels)
+    for x in labels:
+        expected: dict = {}
+        for y, m in vec.items():
+            for term, mult in splitting_oracle(x, y, s).items():
+                expected[term] = expected.get(term, 0) + mult * m
+        assert got[x] == expected
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    st.sampled_from([SU2Ring, SO3Ring]),
+    st.lists(st.integers(0, 8), max_size=6),
+    st.dictionaries(st.integers(0, 6), st.integers(1, 3), max_size=4),
+)
+def test_times_each_on_ladders_is_per_label_multiply(ring_class, steps, vec_steps):
+    # SO(3)-type labels are the even ones
+    ring = ring_class()
+    step = 2 if ring_class is SO3Ring else 1
+    labels = [step * k for k in steps]
+    vec = {step * k: m for k, m in vec_steps.items()}
+    assert ring.times_each(labels, vec) == {x: ring.multiply({x: 1}, vec) for x in labels}
 
 
 # -- ladder rules ------------------------------------------------------------

@@ -214,6 +214,32 @@ def test_diagram_check_compares_separate_products():
     assert not k_groups(ring, ring.fundamental(), 2, 3).diagram_commutes
 
 
+class SecondTailProductChanged(HWordRing):
+    """The word ring at s = 2, but the second r_2 (x) r_2 it computes has 2 r_()."""
+
+    def __init__(self):
+        super().__init__(2)
+        self.squares = 0
+
+    def _pair(self, a: tuple, b: tuple) -> dict:
+        out = super()._pair(a, b)
+        if (a, b) == ((2,), (2,)):
+            self.squares += 1
+            if self.squares == 2:
+                out[()] = 2
+        return out
+
+
+def test_word_diagram_check_compares_separate_tail_products():
+    # with beta = u^2 every label keeps its last 3 letters as its tail; the
+    # tail (2,) is multiplied at level 1 and again at level 2, so tail
+    # products may be shared within a level but never across levels
+    ring = SecondTailProductChanged()
+    report = k_groups(ring, ring.fundamental(), 2, 3)
+    assert ring.squares == 2
+    assert not report.diagram_commutes
+
+
 def test_psi_equals_phi_plus_inclusion():
     h2 = get_ring("H+", 2)
     levels = build_levels(h2, h2.fundamental(), 2, 2)
@@ -313,7 +339,8 @@ def test_levels_match_power_sweep(family, s, k_0, levels):
     assert [(m.power, m.basis, m.boundary_basis) for m in mods] == oracle
     beta = fresh.power(k_0)
     for mod in mods[:-1]:
-        assert mod.psi == psi_columns(fresh, mod.basis, beta)
+        # per-label products on the fresh ring, not the engine's own path
+        assert mod.psi == {x: fresh.multiply({x: 1}, beta) for x in mod.basis}
     assert mods[-1].psi == {}
 
 

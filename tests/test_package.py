@@ -87,6 +87,16 @@ def test_dir_lists_the_exports():
                  easyqg.PreconditionError, id="build_levels-levels-negative"),
     pytest.param(lambda: easyqg.k_groups(easyqg.SU2Ring(), {1: 1}, 2, 0),
                  easyqg.PreconditionError, id="k_groups-levels-0"),
+    pytest.param(lambda: easyqg.IntMatrix([[1, 2], [3]]), easyqg.PreconditionError,
+                 id="IntMatrix-ragged-rows"),
+    pytest.param(lambda: easyqg.IntMatrix([[1, 2]], rows=2), easyqg.PreconditionError,
+                 id="IntMatrix-row-count-mismatch"),
+    pytest.param(lambda: easyqg.FGAbelianGroup(-1), easyqg.PreconditionError,
+                 id="FGAbelianGroup-negative-rank"),
+    pytest.param(lambda: easyqg.FGAbelianGroup(0, (1,)), easyqg.PreconditionError,
+                 id="FGAbelianGroup-torsion-1"),
+    pytest.param(lambda: easyqg.FGAbelianGroup(0, (4, 6)), easyqg.PreconditionError,
+                 id="FGAbelianGroup-no-divisibility-chain"),
 ])
 def test_out_of_domain_calls_raise_typed_errors(call, error):
     # the CLI rejects these arguments first; a library caller gets the same
