@@ -393,26 +393,17 @@ class HWordRing(FusionRing):
         return value
 
 
-_RING_CACHE: dict[tuple, FusionRing] = {}
-
-
 def get_ring(family: str, s: int | None = None) -> FusionRing:
-    """Ring for a CLI family name: O+ -> SU2, S+ -> SO3, H+ -> words."""
-    key = (family, s)
-    ring = _RING_CACHE.get(key)
-    if ring is None:
-        if family == "O+":
-            ring = SU2Ring()
-        elif family == "S+":
-            ring = SO3Ring()
-        elif family == "H+":
-            if s is None or s < 1:
-                raise PreconditionError("family H+ needs s >= 1")
-            ring = HWordRing(s)
-        else:
-            raise WrongFamily(f"no fusion ring shipped for family {family!r}")
-        _RING_CACHE[key] = ring
-    return ring
+    """A new ring for a CLI family name: O+ -> SU2, S+ -> SO3, H+ -> words."""
+    if family == "O+":
+        return SU2Ring()
+    if family == "S+":
+        return SO3Ring()
+    if family == "H+":
+        if s is None or s < 1:
+            raise PreconditionError("family H+ needs s >= 1")
+        return HWordRing(s)
+    raise WrongFamily(f"no fusion ring shipped for family {family!r}")
 
 
 def chain_group_order(ring: FusionRing, level_cap: int = SEARCH_LEVEL_CAP) -> int:

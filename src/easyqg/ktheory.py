@@ -18,9 +18,10 @@ the pivot of each column off the ring's order, so it needs no knowledge
 of the family.  A step it does not cover falls back to invariant factors
 of phi and psi, which give kernels and the cokernel but leave the
 connecting map unverified.  The full (U, D, V) Smith normal form uses the
-classical algorithm with deterministic pivoting, while the large sparse
-level matrices go through a unit-pivot sparse elimination with a dense
-fallback (same invariant factors, cross checked in the tests).
+classical algorithm with deterministic pivoting.  Invariant factors, which
+only the uncertified steps need, come from a sparse elimination on unit
+pivots that hands what remains to it (the same factors, cross checked in
+the tests).
 """
 
 from __future__ import annotations
@@ -226,131 +227,84 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
 
 # ---------------------------------------------------------------------------
-# Sparse invariant factors (unit pivots first, dense fallback).
+# Sparse invariant factors (unit pivots first, dense remainder).
 # ---------------------------------------------------------------------------
 
 
-def _dense_invariant_factors(data: list[list[int]]) -> list[int]:
-    m = IntMatrix(data)
-    _, d, _ = smith_normal_form(m)
-    return [x for x in d.diagonal() if x]
-
-
-class _SparseElim:
-    """Destructive unit-pivot elimination on a sparse integer matrix."""
-
-    def __init__(self, entries: dict[tuple[int, int], int]):
-        self.rows: dict[int, dict[int, int]] = {}
-        self.cols: dict[int, dict[int, int]] = {}
-        for (r, c), val in entries.items():
-            if val:
-                self.rows.setdefault(r, {})[c] = val
-                self.cols.setdefault(c, {})[r] = val
-        self.single_rows = {r for r, d in self.rows.items() if len(d) == 1}
-        self.single_cols = {c for c, d in self.cols.items() if len(d) == 1}
-
-    def _set(self, r: int, c: int, val: int) -> None:
-        rowd = self.rows.setdefault(r, {})
-        cold = self.cols.setdefault(c, {})
-        if val:
-            rowd[c] = val
-            cold[r] = val
-        else:
-            rowd.pop(c, None)
-            cold.pop(r, None)
-            if not rowd:
-                del self.rows[r]
-                self.single_rows.discard(r)
-            if not cold:
-                del self.cols[c]
-                self.single_cols.discard(c)
-        if r in self.rows:
-            if len(self.rows[r]) == 1:
-                self.single_rows.add(r)
-            else:
-                self.single_rows.discard(r)
-        if c in self.cols:
-            if len(self.cols[c]) == 1:
-                self.single_cols.add(c)
-            else:
-                self.single_cols.discard(c)
-
-    def _pick_unit(self):
-        while self.single_rows:
-            r = next(iter(self.single_rows))
-            if r not in self.rows or len(self.rows[r]) != 1:
-                self.single_rows.discard(r)
-                continue
-            c, val = next(iter(self.rows[r].items()))
-            if abs(val) == 1:
-                return r, c
-            self.single_rows.discard(r)
-        while self.single_cols:
-            c = next(iter(self.single_cols))
-            if c not in self.cols or len(self.cols[c]) != 1:
-                self.single_cols.discard(c)
-                continue
-            r, val = next(iter(self.cols[c].items()))
-            if abs(val) == 1:
-                return r, c
-            self.single_cols.discard(c)
-        best = None
-        for r, rowd in self.rows.items():
-            for c, val in rowd.items():
-                if abs(val) == 1:
-                    score = (len(rowd) - 1) * (len(self.cols[c]) - 1)
-                    if best is None or score < best[0]:
-                        best = (score, r, c)
-                        if score == 0:
-                            return r, c
-        return None if best is None else (best[1], best[2])
-
-    def _drop_row(self, r: int) -> None:
-        for c in list(self.rows.get(r, ())):
-            self._set(r, c, 0)
-
-    def _drop_col(self, c: int) -> None:
-        for r in list(self.cols.get(c, ())):
-            self._set(r, c, 0)
-
-    def eliminate_units(self) -> int:
-        count = 0
-        while True:
-            pick = self._pick_unit()
-            if pick is None:
-                return count
-            r, c = pick
-            val = self.rows[r][c]
-            pivot_row = [(cc, vv) for cc, vv in self.rows[r].items() if cc != c]
-            for r2, w in list(self.cols[c].items()):
-                if r2 == r:
-                    continue
-                factor = w * val  # val in {1, -1}
-                for cc, vv in pivot_row:
-                    self._set(r2, cc, self.rows.get(r2, {}).get(cc, 0) - factor * vv)
-                self._set(r2, c, 0)
-            self._drop_row(r)
-            self._drop_col(c)
-            count += 1
-
-    def remaining_dense(self) -> list[list[int]]:
-        row_ids = sorted(self.rows)
-        col_ids = sorted(self.cols)
-        col_pos = {c: j for j, c in enumerate(col_ids)}
-        out = [[0] * len(col_ids) for _ in row_ids]
-        for i, r in enumerate(row_ids):
-            for c, v in self.rows[r].items():
-                out[i][col_pos[c]] = v
-        return out
-
-
 def invariant_factors(entries: dict[tuple[int, int], int]) -> list[int]:
-    """Nonzero invariant factors d_1 | d_2 | ... of a sparse integer matrix."""
-    elim = _SparseElim(entries)
-    units = elim.eliminate_units()
-    rest = elim.remaining_dense()
-    tail = _dense_invariant_factors(rest) if rest else []
-    return [1] * units + tail
+    """Nonzero invariant factors d_1 | d_2 | ... of a sparse integer matrix.
+
+    Pivots on units (+-1) first: one alone in its row or column when there
+    is one, else the unit of least fill-in (len(row) - 1) * (len(col) - 1)
+    (Markowitz's rule).  A stack holds the lines that may hold a lone unit:
+    each line with one entry at the start, and each line that has one entry
+    after an elimination touched it.  What remains goes to
+    ``smith_normal_form``.  Invariant factors do not depend on the pivot
+    order, so the order only sets the cost.
+    """
+    rows: dict[int, dict[int, int]] = {}
+    cols: dict[int, dict[int, int]] = {}
+    for (r, c), val in entries.items():
+        if val:
+            rows.setdefault(r, {})[c] = val
+            cols.setdefault(c, {})[r] = val
+    stack = [(lines, key) for lines in (rows, cols)
+             for key, line in lines.items() if len(line) == 1]
+    units = 0
+    while True:
+        pivot = None
+        while stack and pivot is None:
+            lines, key = stack.pop()
+            line = lines.get(key)
+            if line is not None and len(line) == 1:
+                (other, val), = line.items()
+                if val in (1, -1):
+                    pivot = (key, other) if lines is rows else (other, key)
+        if pivot is None:
+            least = None
+            for r, row in rows.items():
+                for c, val in row.items():
+                    if val in (1, -1):
+                        fill = (len(row) - 1) * (len(cols[c]) - 1)
+                        if least is None or fill < least:
+                            least, pivot = fill, (r, c)
+            if pivot is None:
+                break
+        r, c = pivot
+        pivot_row = rows.pop(r)
+        sign = pivot_row.pop(c)
+        pivot_col = cols.pop(c)
+        del pivot_col[r]
+        for cc in pivot_row:
+            del cols[cc][r]
+        for r2, w in pivot_col.items():
+            row = rows[r2]
+            del row[c]
+            factor = w * sign
+            for cc, v in pivot_row.items():
+                col = cols[cc]
+                new = row.get(cc, 0) - factor * v
+                if new:
+                    row[cc] = col[r2] = new
+                else:
+                    del row[cc], col[r2]
+            if not row:
+                del rows[r2]
+            elif len(row) == 1:
+                stack.append((rows, r2))
+        for cc in pivot_row:
+            if not cols[cc]:
+                del cols[cc]
+            elif len(cols[cc]) == 1:
+                stack.append((cols, cc))
+        units += 1
+    if not rows:
+        return [1] * units
+    row_pos = {r: i for i, r in enumerate(sorted(rows))}
+    _, d, _ = smith_normal_form(IntMatrix.from_columns(
+        len(row_pos), [{row_pos[r]: v for r, v in cols[c].items()} for c in sorted(cols)]
+    ))
+    return [1] * units + [x for x in d.diagonal() if x]
 
 
 @dataclass(frozen=True)
@@ -422,7 +376,7 @@ def build_levels(
     beta = ring.vector_power(fundamental, k_0)
     for start in range(DEFAULT_LEVEL_CAP + 1):
         basis = tuple(sorted(ring.vector_power(fundamental, start), key=ring.sort_key))
-        psi = psi_columns(ring, basis, beta)
+        psi = ring.times_each(basis, beta)
         if _support(psi).issuperset(basis):
             break
     else:
@@ -441,19 +395,11 @@ def build_levels(
     for ell in range(levels):
         out.append(level(ell, basis, psi))
         basis = tuple(sorted(_support(psi), key=ring.sort_key))
-        psi = psi_columns(ring, basis, beta) if ell + 1 < levels else {}
+        # psi(x) = x beta, computed afresh at each level, so the diagram
+        # check compares products made separately
+        psi = ring.times_each(basis, beta) if ell + 1 < levels else {}
     out.append(level(levels, basis, {}))
     return out
-
-
-def psi_columns(ring: FusionRing, basis, beta: dict) -> dict:
-    """psi(x) = x beta for every basis label x, as fusion vectors.
-
-    phi(x) = psi(x) - x, so these columns carry both maps of a step.  Each
-    call computes its columns afresh, so the diagram check compares
-    products made separately at each level.
-    """
-    return ring.times_each(basis, beta)
 
 
 def _unitriangular(psi: dict, rank: dict) -> bool:

@@ -121,13 +121,13 @@ class ColoredPartition:
         upper = tuple(upper_colors)
         lower = tuple(lower_colors)
         if len(upper) != k or len(lower) != l:
-            raise ValueError("color strings must match the point counts")
+            raise ShapeMismatch("color strings must match the point counts")
         if any(c not in COLORS for c in upper + lower):
-            raise ValueError("colors must be 'w' or 'b'")
+            raise PreconditionError("colors must be 'w' or 'b'")
         canon = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
         seen = sorted(x for b in canon for x in b)
         if seen != list(range(1, k + l + 1)) or any(not b for b in canon):
-            raise ValueError("blocks must be disjoint, nonempty and cover 1..k+l")
+            raise PreconditionError("blocks must be disjoint, nonempty and cover 1..k+l")
         self.k = k
         self.l = l
         self.points = k + l

@@ -37,6 +37,7 @@ from .errors import (
     MissingSubprojectives,
     NotProjective,
     ParseError,
+    PreconditionError,
     ShapeMismatch,
     SizeOverflow,
 )
@@ -80,7 +81,7 @@ class ExactMatrix:
                 if val:
                     r, c = key
                     if not (0 <= r < rows and 0 <= c < cols):
-                        raise ValueError(f"entry {key} outside {rows}x{cols}")
+                        raise IndexOutOfRange(f"entry {key} outside {rows}x{cols}")
                     self.entries[key] = val
 
     # -- constructors ----------------------------------------------------
@@ -101,14 +102,10 @@ class ExactMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            return False
-        if len(self.entries) != len(other.entries):
-            return False
-        for key, val in self.entries.items():
-            if other.entries.get(key, 0) != val:
-                return False
-        return True
+        # no zero is stored, and a read-only memo entry compares as its dict
+        return (self.rows, self.cols) == (other.rows, other.cols) and (
+            self.entries == other.entries
+        )
 
     def __hash__(self):
         raise TypeError("ExactMatrix is not hashable")
@@ -215,7 +212,7 @@ def delta_p(
 
 def _check_size(k: int, l: int, n: int) -> None:
     if n < 1:
-        raise ValueError("n must be positive")
+        raise PreconditionError("n must be positive")
     cap = _entry_cap()
     if n ** max(k, l) > cap:
         raise SizeOverflow(f"n^max(k,l) = {n}^{max(k, l)} exceeds the cap {cap}")

@@ -21,7 +21,6 @@ from easyqg import (
 from easyqg.errors import WrongFamily
 from easyqg.fusion import HWordRing, SO3Ring, SU2Ring, _add_scaled
 from easyqg import ktheory
-from easyqg.ktheory import psi_columns
 
 import helpers
 
@@ -43,7 +42,7 @@ def step_matrices(ring, src, dst, beta) -> tuple[IntMatrix, IntMatrix]:
     ]
     psi = [
         {pos[y]: m for y, m in col.items()}
-        for col in psi_columns(ring, src.basis, beta).values()
+        for col in ring.times_each(src.basis, beta).values()
     ]
     rows = len(dst.basis)
     return IntMatrix.from_columns(rows, phi), IntMatrix.from_columns(rows, psi)
@@ -123,17 +122,29 @@ def test_snf_invariant_under_permutations_and_det():
 
 def test_sparse_factors_agree_with_dense():
     rng = Random(23)
-    for _ in range(60):
-        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
-        m = random_matrix(rng, rows, cols, bound=12)
-        entries = {
-            (i, j): m.data[i][j]
-            for i in range(rows)
-            for j in range(cols)
-            if m.data[i][j]
-        }
+    cases = [random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6), bound=12)
+             for _ in range(60)]
+    # no line of one entry: a lone unit appears only after the least fill-in
+    # pivot, and these pivots fill in
+    cases += [
+        IntMatrix([[1, 1], [1, 2]]),
+        IntMatrix([[1, 1, 0], [0, 1, 1], [1, 0, 1]]),
+        IntMatrix([[1, 1, 1], [1, -1, 2], [2, 1, 1], [1, 0, 3]]),
+    ]
+    # sparse and unit-rich up to 10 x 10, then sparse with no unit at all
+    for values, count in (((1, -1, 1, -1, 2, -3), 200), ((2, -2, 3, 4, -6), 40)):
+        for _ in range(count):
+            rows, cols = rng.randint(1, 10), rng.randint(1, 10)
+            density = rng.uniform(0.1, 0.6)
+            cases.append(IntMatrix([
+                [rng.choice(values) if rng.random() < density else 0 for _ in range(cols)]
+                for _ in range(rows)
+            ]))
+    for m in cases:
         _, d, _ = smith_normal_form(m)
-        assert invariant_factors(entries) == [x for x in d.diagonal() if x]
+        factors = [x for x in d.diagonal() if x]
+        assert invariant_factors(entries(m)) == factors
+        assert invariant_factors({(j, i): v for (i, j), v in entries(m).items()}) == factors
 
 
 def test_cokernel_and_kernel_examples():

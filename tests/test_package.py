@@ -97,6 +97,16 @@ def test_dir_lists_the_exports():
                  id="FGAbelianGroup-torsion-1"),
     pytest.param(lambda: easyqg.FGAbelianGroup(0, (4, 6)), easyqg.PreconditionError,
                  id="FGAbelianGroup-no-divisibility-chain"),
+    pytest.param(lambda: easyqg.ColoredPartition(1, 0, "", "", [(1,)]), easyqg.ShapeMismatch,
+                 id="ColoredPartition-color-length"),
+    pytest.param(lambda: easyqg.ColoredPartition(1, 0, "x", "", [(1,)]),
+                 easyqg.PreconditionError, id="ColoredPartition-bad-color"),
+    pytest.param(lambda: easyqg.ColoredPartition(2, 0, "ww", "", [(1,), (1, 2)]),
+                 easyqg.PreconditionError, id="ColoredPartition-bad-blocks"),
+    pytest.param(lambda: easyqg.t_map(easyqg.identity(), 0), easyqg.PreconditionError,
+                 id="t_map-n-0"),
+    pytest.param(lambda: easyqg.ExactMatrix(1, 1, {(1, 0): 1}), easyqg.IndexOutOfRange,
+                 id="ExactMatrix-entry-outside"),
 ])
 def test_out_of_domain_calls_raise_typed_errors(call, error):
     # the CLI rejects these arguments first; a library caller gets the same
