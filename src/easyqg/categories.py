@@ -4,8 +4,8 @@ Two ways to build a sample:
 
 * ``generate_category(generators, max_points)`` — fixed-point closure of
   the seed under tensor, composition, involution and rotation, discarding
-  anything above the point bound, run on one-row boundary words and then
-  cut every way.  This is exact but only feasible for small bounds.
+  anything above the point bound, run on one-row boundary words.  This is
+  exact but only feasible for small bounds.
 * ``family_category(family, max_points, s)`` — the four shipped families
   (O+, U+, S+, H+) enumerated through their known membership predicates:
 
@@ -18,13 +18,15 @@ Two ways to build a sample:
   that these predicates agree with the generated closures.
 
 A category is closed under rotation, so the m + 1 cuts of a boundary word
-(``partitions.from_boundary``) are all members or none.  Membership in a
-family is one rule per block, read off its boundary colors (``_block_ok``).
-A memoized table of each block size's admissible boundary colorings drives
-iteration, and ``member_count`` sums (m + 1) times the product of the
-table sizes over the structures, so S+ at bound 8 (3.8 million members) is
-counted from 2,056 structures.  ``k_param`` reads the same tables,
-building no member either.
+(``partitions.from_boundary``) are all members or none.  A sample is kept
+as boundary words grouped by block structure, and members are cut from
+them only when asked for.  A closure sample stores its words; a family
+reads them from a memoized table of each block size's admissible boundary
+colorings, as membership in a family is one rule per block, read off its
+boundary colors (``_block_ok``).  ``member_count`` sums (m + 1) times the
+word count over the structures, so S+ at bound 8 (3.8 million members) is
+counted from 2,056 structures.  ``k_param`` reads the words (a closure) or
+the tables (a family), building no member either.
 """
 
 from __future__ import annotations
@@ -45,9 +47,7 @@ from .partitions import (
     b_block,
     boundary_blocks,
     boundary_colors,
-    boundary_points,
     charge,
-    color_counts,
     cut_words,
     flip_color,
     four_block_wwbb,
@@ -76,12 +76,13 @@ def family_generators(family: str, s: int | None = None) -> tuple[ColoredPartiti
 
 
 class PartitionCategorySample:
-    """A bounded view of a category of partitions.
+    """A bounded view of a category of partitions, kept as boundary words.
 
-    A closure sample stores its members; a family sample (``family`` set)
-    enumerates them from the family's block rule.  ``members`` materializes
-    the full set; prefer ``iter_members`` and ``member_count`` for family
-    samples, whose member counts explode with the bound.
+    A closure sample stores its words (``words``: canonical position blocks
+    -> a dict whose keys are the color words); a family sample (``family``
+    set) makes them from the family's block rule.  Members are cut from the
+    words when asked for: prefer ``iter_members`` and ``member_count`` to
+    ``members``, which builds the full set on each call.
     """
 
     def __init__(
@@ -89,7 +90,7 @@ class PartitionCategorySample:
         generators: Iterable[ColoredPartition],
         max_points: int,
         saturated: bool,
-        members: Optional[frozenset] = None,
+        words: Optional[dict] = None,
         family: str | None = None,
         s: int | None = None,
     ):
@@ -98,26 +99,38 @@ class PartitionCategorySample:
         self.saturated = saturated
         self.family = family
         self.s = s
-        self._members = members
+        self._words = words or {}
         for base in BASE_PARTITIONS:
             if max_points >= 2 and base not in self:
                 raise PreconditionError("sample is missing a base partition")
 
+    def _groups(self, sizes: Sequence[int]) -> Iterator[tuple[int, tuple, int, Iterable]]:
+        """``(m, position blocks, word count, words)`` of each block structure
+        with m in ``sizes``; a family's words are made when iterated."""
+        if self.family is None:
+            for blocks, words in self._words.items():
+                m = sum(map(len, blocks))
+                if m in sizes:
+                    yield m, blocks, len(words), words
+            return
+        for m, struct, tables in _family_structures(self.family, self.s, sizes):
+            yield m, struct, math.prod(map(len, tables)), _table_words(m, struct, tables)
+
+    def _has(self, colors: tuple, blocks: tuple) -> bool:
+        """Whether the boundary word is in the sample; a family sample takes
+        the blocks to be noncrossing."""
+        if self.family is None:
+            return colors in self._words.get(blocks, ())
+        return all(_block_ok(self.family, self.s, [colors[i] for i in b]) for b in blocks)
+
     def __contains__(self, p: ColoredPartition) -> bool:
-        if self._members is not None:
-            return p in self._members
-        if p.points > self.max_points or not is_noncrossing(p):
+        if p.points > self.max_points or (self.family is not None and not is_noncrossing(p)):
             return False
-        color = dict(zip(boundary_points(p.k, p.l), boundary_colors(p)))
-        return all(
-            _block_ok(self.family, self.s, [color[x] for x in b]) for b in p.blocks
-        )
+        return self._has(boundary_colors(p), _moved(boundary_blocks(p), range(p.points)))
 
     @property
     def members(self) -> frozenset:
-        if self._members is None:
-            self._members = frozenset(self.iter_members())
-        return self._members
+        return frozenset(self.iter_members())
 
     def iter_members(
         self,
@@ -125,39 +138,24 @@ class PartitionCategorySample:
         l: int | None = None,
         all_white: bool = False,
     ) -> Iterator[ColoredPartition]:
-        if self._members is not None:
-            for p in sorted(self._members):
-                if k in (None, p.k) and l in (None, p.l) and (p.all_white() or not all_white):
-                    yield p
-            return
         sizes = [
             m for m in range(self.max_points + 1)
             if m >= (k or 0) + (l or 0) and (k is None or l is None or m == k + l)
         ]
-        for m, struct, tables in _family_structures(self.family, self.s, sizes):
+        for m, blocks, _, words in self._groups(sizes):
             cuts = [c for c in range(m + 1) if k in (None, c) and l in (None, m - c)]
             if all_white:  # upper points of an all-white word are boundary-black
                 for cut in cuts:
-                    word = [BLACK] * cut + [WHITE] * (m - cut)
-                    if all(_block_ok(self.family, self.s, [word[i] for i in b])
-                           for b in struct):
-                        yield from_boundary(cut, word, struct)
+                    word = (BLACK,) * cut + (WHITE,) * (m - cut)
+                    if self._has(word, blocks):
+                        yield from_boundary(cut, word, blocks)
                 continue
-            words = []
-            for chosen in itertools.product(*tables):
-                word = [WHITE] * m
-                for b, block_colors in zip(struct, chosen):
-                    for i, col in zip(b, block_colors):
-                        word[i] = col
-                words.append(tuple(word))
+            words = list(words)  # each cut reads them again
             for cut in cuts:
-                yield from cut_words(cut, words, struct)
+                yield from cut_words(cut, words, blocks)
 
     def member_count(self) -> int:
-        if self._members is not None:
-            return len(self._members)
-        structures = _family_structures(self.family, self.s, range(self.max_points + 1))
-        return sum((m + 1) * math.prod(map(len, tables)) for m, _, tables in structures)
+        return sum((m + 1) * n for m, _, n, _ in self._groups(range(self.max_points + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -173,9 +171,11 @@ def generate_category(
     """Close the seed under the category operations within the point bound.
 
     The seed's boundary words ``(colors, position blocks)`` are closed under
-    the cyclic shift, the involution and ``_glues``; each word gives its
-    m + 1 cuts as members.  This least fixed point does not depend on the
-    generator order.
+    the cyclic shift, the involution and ``_glues``; each word stands for
+    its m + 1 cuts.  This least fixed point does not depend on the
+    generator order.  The sample keeps the words grouped by their position
+    blocks, each group in sorted order, so that its members come out in the
+    same order in every process.
 
     The queue hands out whole dihedral orbits (``_orbit``: a word with all
     its cyclic shifts and involutions, added together).  A new orbit's
@@ -235,12 +235,10 @@ def generate_category(
                     for v in partners.get((b, meets[:t_min]), ()):
                         add(_glues(u, v, max_points))
 
-    rows: dict[tuple, tuple] = {}  # one tuple per distinct color row
-    members = frozenset(
-        p for colors, blocks in words for cut in range(len(colors) + 1)
-        for p in cut_words(cut, [colors], blocks, rows)
-    )
-    return PartitionCategorySample(generators, max_points, not queue, members=members)
+    groups: dict[tuple, dict] = {}
+    for colors, blocks in sorted(words):
+        groups.setdefault(blocks, {})[colors] = None
+    return PartitionCategorySample(generators, max_points, not queue, words=groups)
 
 
 def _orbit(word: tuple) -> list[tuple]:
@@ -351,12 +349,21 @@ def _family_structures(
                 yield m, struct, tables
 
 
+def _table_words(m: int, struct: Sequence[Sequence[int]], tables: list) -> Iterator[tuple]:
+    """The boundary words of a structure, one per choice of a coloring for
+    each block, in product order."""
+    for chosen in itertools.product(*tables):
+        word = [WHITE] * m
+        for b, block_colors in zip(struct, chosen):
+            for i, col in zip(b, block_colors):
+                word[i] = col
+        yield tuple(word)
+
+
 def family_category(
     family: str, max_points: int, s: int | None = None
 ) -> PartitionCategorySample:
     """The bounded sample of one of the shipped families, enumerated lazily."""
-    if family == "H+" and (s is None or s < 1):
-        raise PreconditionError("family H+ needs s >= 1")
     if family != "H+":
         s = None
     if max_points < 2:
@@ -380,18 +387,14 @@ def k_param(sample: PartitionCategorySample) -> int:
     sample the gcd equals the minimal positive c(p).  A family sample is
     read per structure off its coloring tables: c(p) adds over blocks and
     does not depend on the cut, so the structure's gcd is that of the first
-    colorings' total charge and of every charge difference within a block.
-    A closure sample goes through its members.  Both stop once the running
-    gcd reaches 1.  If ``sample.saturated`` is false the value only reflects
-    the bound.
+    colorings' total charge and of every charge difference within a block;
+    it stops once the running gcd reaches 1.  A closure sample takes one
+    charge per word.  If ``sample.saturated`` is false the value only
+    reflects the bound.
     """
-    g = 0
     if sample.family is None:
-        for p in sample.iter_members():
-            g = math.gcd(g, color_counts(p)[2])
-            if g == 1:
-                break
-        return g
+        return math.gcd(*(charge(colors) for words in sample._words.values() for colors in words))
+    g = 0
     structures = _family_structures(sample.family, sample.s, range(sample.max_points + 1))
     for _, _, tables in structures:
         total = 0

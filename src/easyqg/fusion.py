@@ -339,15 +339,14 @@ class HWordRing(FusionRing):
         return f"r[{','.join(map(str, label))}]@{self.s}"
 
     def parse_label(self, text: str) -> tuple:
-        m = re.fullmatch(r"r\[([\d,\s]*)\](@(\d+))?", text.strip())
+        m = re.fullmatch(r"r\[\s*(\d+(?:\s*,\s*\d+)*)?\s*\](@(\d+))?", text.strip())
         if not m:
             raise ParseError(f"bad label {text!r} for family {self.family}")
         if m.group(3) is not None and int(m.group(3)) != self.s:
             raise ModulusMismatch(
                 f"label modulus {m.group(3)} differs from ring modulus {self.s}"
             )
-        body = m.group(1).strip()
-        letters = tuple(int(x) for x in body.split(",")) if body else ()
+        letters = tuple(int(x) for x in m.group(1).split(",")) if m.group(1) else ()
         if not self._letters.issuperset(letters):
             raise ParseError(f"letters must lie in 1..{self.s}: {letters}")
         return letters

@@ -73,11 +73,10 @@ def cut_words(
     k: int,
     words: Iterable[Sequence[str]],
     position_blocks: Sequence[Sequence[int]],
-    shared: dict | None = None,
 ) -> Iterator["ColoredPartition"]:
     """The diagram of each boundary word in ``words`` over the same
-    ``position_blocks``, cut after ``k`` positions.  With a dict ``shared``,
-    equal color rows become one tuple, the first one kept there."""
+    ``position_blocks``, cut after ``k`` positions: the members that a
+    category sample keeps as one block structure's words."""
     l = sum(map(len, position_blocks)) - k
     points = boundary_points(k, l)
     blocks = [[points[i] for i in b] for b in position_blocks]
@@ -86,8 +85,6 @@ def cut_words(
         # length and resizes, and such tuples pile up in CPython's tuple
         # free lists.
         upper, lower = (*map(_FLIPPED.__getitem__, colors[:k]),), colors[k:][::-1]
-        if shared is not None:
-            upper, lower = shared.setdefault(upper, upper), shared.setdefault(lower, lower)
         yield ColoredPartition(k, l, upper, lower, blocks)
 
 

@@ -3,6 +3,11 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -85,7 +90,7 @@ def test_closure_matches_member_closure(generators, bound):
     on whole members."""
     sample = generate_category(generators, bound)
     assert sample.saturated
-    assert sample.members == helpers.member_closure(generators, bound)
+    assert_sample_is(sample, helpers.member_closure(generators, bound))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -97,7 +102,50 @@ def test_closure_matches_member_closure_on_random_generators(case):
     generators, bound = case
     sample = generate_category(generators, bound)
     assert sample.saturated
-    assert sample.members == helpers.member_closure(generators, bound)
+    assert_sample_is(sample, helpers.member_closure(generators, bound))
+
+
+def assert_sample_is(sample, oracle: frozenset) -> None:
+    """Every path that reads a sample's words (``members``,
+    ``member_count``, ``k_param``, each slice of ``iter_members`` and
+    ``in``) agrees with the member set ``oracle``."""
+    bound = sample.max_points
+    assert sample.members == oracle
+    assert sample.member_count() == len(oracle)
+    assert k_param(sample) == math.gcd(*(color_counts(p)[2] for p in oracle))
+    sizes = (None, *range(bound + 1))
+    for k in sizes:
+        for l in sizes:
+            for white in (False, True):
+                expected = {p for p in oracle if k in (None, p.k) and l in (None, p.l)
+                            and (p.all_white() or not white)}
+                assert set(sample.iter_members(k=k, l=l, all_white=white)) == expected
+    # the noncrossing partitions, then random ones, most of them crossing
+    rng = Random(bound)
+    others = [*helpers.colored_noncrossing(bound),
+              *(helpers.random_partition(rng, bound) for _ in range(300))]
+    for p in (*oracle, *others):
+        assert (p in sample) == (p in oracle)
+
+
+def test_closure_member_order_is_the_same_in_every_process():
+    """The words are tuples of str, whose hashes change between processes;
+    the members still come out in one order."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("from easyqg import family_generators, generate_category, parse_partition\n"
+            "for gens, bound in ((family_generators('S+'), 4),\n"
+            "                    ([parse_partition('P(2,2;ww;ww;{{1,4},{2,3}})')], 5)):\n"
+            "    print(list(generate_category(gens, bound).iter_members()))\n")
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count("P(") > 1000
 
 
 def test_saturated_means_fixed_point():

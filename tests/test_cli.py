@@ -116,6 +116,14 @@ def test_fusion_bad_label_exit_2(capsys):
     assert code == EXIT_PARSE
 
 
+@pytest.mark.parametrize("label", ["r[1,,2]@3", "r[1,]@3", "r[,]@3", "r[1 2]@3"])
+def test_fusion_malformed_word_label_exit_2(capsys, label):
+    code, out, err = run(capsys, "fusion", "degree", "--family", "H+", "--s", "3", label)
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_fusion_modulus_mismatch_exit_3(capsys):
     code, _, _ = run(
         capsys, "fusion", "degree", "--family", "H+", "--s", "3", "r[1]@2"

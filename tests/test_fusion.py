@@ -53,10 +53,12 @@ def test_word_fusion():
 
 
 def test_word_validation():
-    with pytest.raises(ParseError):
-        get_ring("H+", 3).parse_label("r[0]")
-    with pytest.raises(ParseError):
-        get_ring("H+", 3).parse_label("r[4]")
+    ring = get_ring("H+", 3)
+    for text in ("r[0]", "r[4]", "r[1,,2]@3", "r[1,]@3", "r[,]@3", "r[1 2]@3"):
+        with pytest.raises(ParseError):
+            ring.parse_label(text)
+    assert ring.parse_label("r[]") == ()
+    assert ring.parse_label("r[1, 2]") == (1, 2)
 
 
 def test_h_decompose_golden():

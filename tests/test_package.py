@@ -74,7 +74,7 @@ def test_dir_lists_the_exports():
                  id="family_category-s-0"),
     pytest.param(lambda: easyqg.PartitionCategorySample((), 4, True, family="B+"),
                  easyqg.WrongFamily, id="block_rule-unknown"),
-    pytest.param(lambda: easyqg.PartitionCategorySample((), 4, True, members=frozenset()),
+    pytest.param(lambda: easyqg.PartitionCategorySample((), 4, True, words={}),
                  easyqg.PreconditionError, id="sample-missing-base"),
     pytest.param(lambda: easyqg.rotate(easyqg.identity(), "UX"), easyqg.PreconditionError,
                  id="rotate-corner-unknown"),
