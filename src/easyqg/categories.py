@@ -4,8 +4,9 @@ Two ways to build a sample:
 
 * ``generate_category(generators, max_points)`` — fixed-point closure of
   the seed under tensor, composition, involution and rotation, discarding
-  anything above the point bound, run on one-row boundary words.  This is
-  exact but only feasible for small bounds.
+  anything above the point bound, run on one-row boundary words, with the
+  blocks of a glue joined once per pair of block structures and overlap.
+  This is exact but only feasible for small bounds.
 * ``family_category(family, max_points, s)`` — the four shipped families
   (O+, U+, S+, H+) enumerated through their known membership predicates:
 
@@ -194,6 +195,13 @@ def generate_category(
     indexed by their length and their first colors, so one lookup per b
     gives exactly the partners that can glue, in processed order.
 
+    Blocks are joined once per ``(bu, bv, t)``, not once per glue.  A glue's
+    met positions and the node maps that ``merge_blocks`` reads are
+    functions of a, b and t alone, so its blocks depend only on the two
+    block structures and t; colors only decide whether the glue is allowed.
+    The joined blocks are kept in a dict that lives for this call and is
+    handed to ``_glues``, and each glue builds only its color word.
+
     ``max_members`` is a safety valve on the number of words, checked
     between orbits: once more words than that are known the sample is
     returned with ``saturated=False``.
@@ -220,6 +228,7 @@ def generate_category(
     # (b, first t colors) -> the processed words of b positions that start so;
     # t up to ceil(b / 2), the most met positions a t_min asks of b positions
     partners: dict[tuple, list[tuple]] = {}
+    joined: dict[tuple, tuple] = {}  # (bu, bv, t) -> the blocks of their glue
     while queue and (max_members is None or len(words) <= max_members):
         orbit = queue.popleft()
         for v in orbit:
@@ -233,7 +242,7 @@ def generate_category(
                 t_min = max(0, a + b - max_points + 1) // 2
                 if t_min <= min(a, b):
                     for v in partners.get((b, meets[:t_min]), ()):
-                        add(_glues(u, v, max_points))
+                        add(_glues(u, v, max_points, joined))
 
     groups: dict[tuple, dict] = {}
     for colors, blocks in sorted(words):
@@ -258,13 +267,14 @@ def _moved(blocks: Iterable[Iterable[int]], position: Sequence[int]) -> tuple:
     return tuple(sorted(tuple(sorted(position[i] for i in b)) for b in blocks))
 
 
-def _glues(u: tuple, v: tuple, max_points: int) -> Iterator[tuple]:
+def _glues(u: tuple, v: tuple, max_points: int, joined: dict) -> Iterator[tuple]:
     """The nested glues of the words u and v within ``max_points`` positions.
     Along t positions, u[a-t+i] meets v[t-1-i] for i < t, and the result is
     u[:a-t] + v[t:], its blocks joined through the met positions: the tensor
     product for t = 0, else a composition at one cut.  Met positions need
     opposite colors; each t meets the pairs of t - 1, so the first
-    same-colored pair ends the search."""
+    same-colored pair ends the search.  ``joined`` maps ``(bu, bv, t)`` to
+    the joined blocks; ``merge_blocks`` runs only on a miss."""
     (cu, bu), (cv, bv) = u, v
     a, b = len(cu), len(cv)
     for t in range(min(a, b) + 1):
@@ -272,10 +282,13 @@ def _glues(u: tuple, v: tuple, max_points: int) -> Iterator[tuple]:
             return
         r = a + b - 2 * t
         if r <= max_points:
-            glued = range(r, r + t)
-            nodes = (bu, (*range(a - t), *glued)), (bv, (*reversed(glued), *range(a - t, r)))
-            blocks, _ = merge_blocks(range(r), glued, *nodes)
-            yield cu[: a - t] + cv[t:], tuple(map(tuple, blocks))
+            key = bu, bv, t
+            blocks = joined.get(key)
+            if blocks is None:
+                glued = range(r, r + t)
+                nodes = (bu, (*range(a - t), *glued)), (bv, (*reversed(glued), *range(a - t, r)))
+                blocks = joined[key] = tuple(map(tuple, merge_blocks(range(r), glued, *nodes)[0]))
+            yield cu[: a - t] + cv[t:], blocks
 
 
 # ---------------------------------------------------------------------------
