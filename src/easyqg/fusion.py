@@ -8,7 +8,8 @@ family tag and the memoized powers and dims, so labels never need to; a
 product of two labels is computed afresh on every call.  Within one call of
 ``times_each`` the word ring multiplies each distinct tail once: a product
 r_x r_y reads only the last |y| + 1 letters of x, and the rest of x is a
-prefix of every term.  Nothing is kept across calls.
+prefix of every term, and each distinct term is one object shared by every
+column it is in.  Nothing is kept across calls.
 
 The word family (s >= 1) follows the two monoid rules
 
@@ -139,9 +140,7 @@ class FusionRing:
     # shared machinery ---------------------------------------------------
 
     def decompose(self, a, b) -> dict:
-        product = self._pair(a, b)
-        assert all(m > 0 for m in product.values())
-        return product
+        return self._pair(a, b)
 
     def multiply(self, va: dict, vb: dict) -> dict:
         out: dict = {}
@@ -173,6 +172,10 @@ class FusionRing:
     def sort_key(self, label):
         return (self._grade(label), label)
 
+    def in_order(self, labels) -> list:
+        """The labels as a list in the ring's order, ``sort_key``."""
+        return sorted(labels, key=self.sort_key)
+
     def degree(self, label, level_cap: int = DEFAULT_LEVEL_CAP) -> int:
         """Smallest power of the fundamental containing the label.
 
@@ -192,7 +195,7 @@ class FusionRing:
         seen = set()
         for ell in range(cap + 1):
             seen.update(self.power(ell))
-        return sorted(seen, key=self.sort_key)
+        return self.in_order(seen)
 
 
 class SU2Ring(FusionRing):
@@ -315,18 +318,26 @@ class HWordRing(FusionRing):
         With keep = max |y| + 1 over vec, a splitting of x y cancels at most
         |y| letters of x and fuses only the letter before them, so
         x = head + tail with |tail| = keep gives x y = head + (tail y) term
-        by term, in the same order.  The tail products live only for this
-        call.
+        by term, in the same order.  Each term goes through ``canon``, so
+        equal terms of different columns are one object.  The tail products
+        and ``canon`` live only for this call.
         """
         keep = max(map(len, vec), default=0) + 1
         tails: dict[tuple, dict] = {}
+        canon: dict[tuple, tuple] = {}
         out = {}
         for x in labels:
             head, tail = x[:-keep], x[-keep:]
             product = tails.get(tail)
             if product is None:
                 product = tails[tail] = self.multiply({tail: 1}, vec)
-            out[x] = {head + y: m for y, m in product.items()}
+            out[x] = {canon.setdefault(w := head + y, w): m for y, m in product.items()}
+        return out
+
+    def in_order(self, labels) -> list:
+        """(degree, word) order: the sorted words, stably sorted by letter sum."""
+        out = sorted(labels)
+        out.sort(key=sum)
         return out
 
     def conjugate(self, label: tuple) -> tuple:
@@ -431,7 +442,7 @@ def chain_group_order(ring: FusionRing, level_cap: int = SEARCH_LEVEL_CAP) -> in
 
     firsts = []
     for ell in range(level_cap + 1):
-        labels = sorted(ring.support(ell), key=ring.sort_key)
+        labels = ring.in_order(ring.support(ell))
         for lab in labels:
             parent.setdefault(lab, lab)
         for lab in labels[1:]:

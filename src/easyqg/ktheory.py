@@ -10,14 +10,15 @@ nest), and the maps
 then reads K_1 off kernel ranks and K_0 off cokernels with the connecting
 maps induced by psi.  It runs in one pass: each level multiplies its basis
 by beta once, and as multiplicities are positive the supports of these psi
-columns form the next basis, sorted by the ring's order (``sort_key``);
-boundaries come from the ring's grading (``degree``), and phi = psi minus
-the inclusion.  An O(nnz) certificate that [phi | e_complement] is
-unitriangular settles kernels, cokernels and the connecting map: it reads
-the pivot of each column off the ring's order, so it needs no knowledge
-of the family.  A step it does not cover falls back to invariant factors
-of phi and psi, which give kernels and the cokernel but leave the
-connecting map unverified.  The full (U, D, V) Smith normal form uses the
+columns form the next basis, sorted by the ring's order (``in_order``);
+each boundary is the trailing run of its basis whose ``degree`` is the
+level's power, found by bisection, and phi = psi minus the inclusion.  An
+O(nnz) certificate that [phi | e_complement] is unitriangular settles
+kernels, cokernels and the connecting map: it reads the pivot of each
+column off the ring's order, so it needs no knowledge of the family.  A
+step it does not cover falls back to invariant factors of phi and psi,
+which give kernels and the cokernel but leave the connecting map
+unverified.  The full (U, D, V) Smith normal form uses the
 classical algorithm with deterministic pivoting.  Invariant factors, which
 only the uncertified steps need, come from a sparse elimination on unit
 pivots that hands what remains to it (the same factors, cross checked in
@@ -26,6 +27,7 @@ the tests).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -360,14 +362,15 @@ def _support(psi: dict) -> set:
 def build_levels(
     ring: FusionRing, fundamental: dict, k_0: int, levels: int
 ) -> list[LevelModule]:
-    """R_N, R_(N+k_0), ..., R_(N+levels*k_0) with bases sorted by ``ring.sort_key``.
+    """R_N, R_(N+k_0), ..., R_(N+levels*k_0) with bases in ``ring.in_order``.
 
     Multiplicities are positive, so supp u^(a+k_0) is the union of the
     supports of psi(x) over x in supp u^a.  N is the least power inside that
     union (the levels nest from there), and each later basis is the union.
     A boundary is the labels of degree exactly the level's power: no label
-    of supp u^power has a larger degree, and the order sorts by degree
-    first, so the boundary is the trailing run of the basis.
+    of supp u^power has a larger degree (``degree`` of the last label checks
+    it), and the order sorts by degree first, so the boundary is the
+    trailing run of the basis, found by bisecting on ``degree``.
     """
     if k_0 < 1:
         raise PreconditionError("k_0 must be >= 1")
@@ -375,7 +378,7 @@ def build_levels(
         raise PreconditionError("levels must be >= 0")
     beta = ring.vector_power(fundamental, k_0)
     for start in range(DEFAULT_LEVEL_CAP + 1):
-        basis = tuple(sorted(ring.vector_power(fundamental, start), key=ring.sort_key))
+        basis = tuple(ring.in_order(ring.vector_power(fundamental, start)))
         psi = ring.times_each(basis, beta)
         if _support(psi).issuperset(basis):
             break
@@ -386,15 +389,15 @@ def build_levels(
 
     def level(ell: int, basis: tuple, psi: dict) -> LevelModule:
         power = start + ell * k_0
-        cut = len(basis)
-        while cut and ring.degree(basis[cut - 1], power) == power:
-            cut -= 1
+        if basis:
+            ring.degree(basis[-1], power)  # NotReachable past the power
+        cut = bisect_left(basis, power, key=lambda y: ring.degree(y, power))
         return LevelModule(ell, power, basis, basis[cut:], psi)
 
     out = []
     for ell in range(levels):
         out.append(level(ell, basis, psi))
-        basis = tuple(sorted(_support(psi), key=ring.sort_key))
+        basis = tuple(ring.in_order(_support(psi)))
         # psi(x) = x beta, computed afresh at each level, so the diagram
         # check compares products made separately
         psi = ring.times_each(basis, beta) if ell + 1 < levels else {}

@@ -167,6 +167,34 @@ def test_times_each_on_ladders_is_per_label_multiply(ring_class, steps, vec_step
     assert ring.times_each(labels, vec) == {x: ring.multiply({x: 1}, vec) for x in labels}
 
 
+@pytest.mark.parametrize(
+    "family,s", [("O+", None), ("S+", None), ("H+", 1), ("H+", 2), ("H+", 3), ("H+", 4)]
+)
+def test_pair_products_are_positive(family, s):
+    # decompose does not check it; multiply and the K-theory supports rely on it
+    ring = get_ring(family, s)
+    labels = ring.irreducibles_up_to_degree(6)
+    for a in labels:
+        for b in labels:
+            product = ring._pair(a, b)
+            assert product and all(m > 0 for m in product.values()), (a, b)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+def test_word_order_is_the_sort_key_order(s):
+    ring = HWordRing(s)
+    rng = Random(s)
+    for _ in range(200):
+        words = {(1,), (1, 1)}
+        for _ in range(rng.randint(0, 30)):
+            word = tuple(rng.randint(1, s) for _ in range(rng.randint(0, 7)))
+            # and a prefix of it, as (1,) is of (1, 1)
+            words.update((word, word[: rng.randint(0, len(word))]))
+        labels = list(words)
+        rng.shuffle(labels)
+        assert ring.in_order(labels) == sorted(labels, key=ring.sort_key)
+
+
 # -- ladder rules ------------------------------------------------------------
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+from functools import partial
 from random import Random
 
 import pytest
@@ -430,6 +432,51 @@ def test_engine_falls_back_on_a_repeated_pivot():
     assert shared.coker == oracle["coker"]
     assert shared.ker_rank_phi == oracle["ker_rank_phi"]
     assert shared.ker_rank_psi == oracle["ker_rank_psi"]
+
+
+def trailing_run(ring, basis: tuple, power: int) -> tuple:
+    """The boundary as the labels of degree ``power`` read off the end, one by one."""
+    cut = len(basis)
+    while cut and ring.degree(basis[cut - 1], power) == power:
+        cut -= 1
+    return basis[cut:]
+
+
+@pytest.mark.parametrize(
+    "make_ring,k_0,levels",
+    [(SU2Ring, 2, 8), (SO3Ring, 1, 8), (TwinStepLadder, 1, 5)]
+    + [(partial(HWordRing, s), s, 3) for s in (1, 2, 3, 4)],
+    ids=["O+", "S+", "twin-step", "H+1", "H+2", "H+3", "H+4"],
+)
+def test_bisected_boundary_is_the_trailing_run(make_ring, k_0, levels):
+    ring = make_ring()
+    for mod in build_levels(ring, ring.fundamental(), k_0, levels):
+        assert mod.boundary_basis == trailing_run(ring, mod.basis, mod.power)
+
+
+def test_word_levels_share_one_object_per_label():
+    # times_each hands out one object per distinct word, and the next basis
+    # is made of those same objects
+    ring = HWordRing(3)
+    mods = build_levels(ring, ring.fundamental(), 3, 5)
+    for low, high in zip(mods, mods[1:]):
+        terms = {id(y): y for col in low.psi.values() for y in col}
+        assert len(terms) == len(ktheory._support(low.psi))
+        assert all(terms.get(id(y)) is y for y in high.basis)
+
+
+def test_word_levels_peak_memory():
+    # s = 3, L = 6 peaked at 18.0 MiB traced with a new tuple per column
+    # entry, and at 13.5 MiB with one per label
+    ring = HWordRing(3)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        k_groups(ring, ring.fundamental(), 3, 6)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 15 * 2**20
 
 
 @pytest.mark.parametrize(
