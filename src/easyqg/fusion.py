@@ -35,6 +35,7 @@ from .errors import (
     PreconditionError,
     WrongFamily,
 )
+from .partitions import merge_blocks
 
 DEFAULT_LEVEL_CAP = 32
 # the powers of the fundamental that the chain-group and (C2) searches scan
@@ -227,14 +228,23 @@ class SU2Ring(FusionRing):
             raise ParseError(f"bad label {text!r} for family {self.family}")
         return int(m.group(1))
 
-    def dim(self, label: int, n: int) -> int:
+    def _ladder(self, label: int, n: int) -> tuple[int, int]:
+        """The first rung's dim and the step factor at n; ``SO3Ring`` has its own."""
         if n < 2:
             raise InconsistentDimension("SU(2)-type dims need n >= 2")
-        prev, cur = 1, n
-        if label == 0:
+        return n, n
+
+    def dim(self, label: int, n: int) -> int:
+        """d_0 = 1, d_1 = first, d_(r+1) = step d_r - d_(r-1) at rung r, the degree."""
+        first, step = self._ladder(label, n)
+        rung = self._grade(label)
+        if rung is None:
+            raise NotReachable(f"{self.format_label(label)} lies in no power of the fundamental")
+        if rung == 0:
             return 1
-        for _ in range(label - 1):
-            prev, cur = cur, n * cur - prev
+        prev, cur = 1, first
+        for _ in range(rung - 1):
+            prev, cur = cur, step * cur - prev
         if cur <= 0:
             raise InconsistentDimension(f"dim u_{label} <= 0 at n={n}")
         return cur
@@ -267,18 +277,12 @@ class SO3Ring(SU2Ring):
         self._check_even(label)
         return label
 
-    def dim(self, label: int, n: int) -> int:
+    def _ladder(self, label: int, n: int) -> tuple[int, int]:
+        # u_2 (x) u_2r = u_(2r-2) + u_2r + u_(2r+2): the step is dim u_2 - 1
         self._check_even(label)
         if n < 4:
             raise InconsistentDimension("SO(3)-type dims need n >= 4")
-        if label == 0:
-            return 1
-        prev, cur = 1, n - 1
-        for _ in range(label // 2 - 1):
-            prev, cur = cur, (n - 2) * cur - prev
-        if cur <= 0:
-            raise InconsistentDimension(f"dim u_{label} <= 0 at n={n}")
-        return cur
+        return n - 1, n - 2
 
 
 class HWordRing(FusionRing):
@@ -365,6 +369,11 @@ class HWordRing(FusionRing):
     def dim(self, label: tuple, n: int) -> int:
         if n < 2:
             raise InconsistentDimension("word-family dims need n >= 2")
+        if self._grade(label) is None:
+            raise NotReachable(f"{self.format_label(label)} lies in no power of the fundamental")
+        return self._dim(label, n)
+
+    def _dim(self, label: tuple, n: int) -> int:
         key = (label, n)
         cached = self._dim_cache.get(key)
         if cached is not None:
@@ -379,21 +388,21 @@ class HWordRing(FusionRing):
                 tails = {last} | {(last + c) % self.s or self.s for c in tails}
                 words.extend(label[: m - 1] + (c,) for c in tails)
             for word in reversed(words):
-                self.dim(word, n)
+                self._dim(word, n)
         if not label:
             value = 1
         elif len(label) == 1:
             value = n - 1 if label[0] == self.s else n
         else:
             y, j = label[:-1], (label[-1],)
-            total = self.dim(y, n) * self.dim(j, n)
+            total = self._dim(y, n) * self._dim(j, n)
             for gamma, mult in self.decompose(y, j).items():
                 if gamma == label:
                     mult -= 1
                 if mult:
                     # every other term is strictly smaller in (degree, length)
                     assert (sum(gamma), len(gamma)) < (sum(label), len(label))
-                    total -= mult * self.dim(gamma, n)
+                    total -= mult * self._dim(gamma, n)
             value = total
         if value <= 0:
             raise InconsistentDimension(
@@ -427,33 +436,20 @@ def chain_group_order(ring: FusionRing, level_cap: int = SEARCH_LEVEL_CAP) -> in
     that the class of the fundamental is seen to close up; otherwise
     NotReachable is raised rather than a count of the classes seen so far.
     """
-    parent: dict = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    firsts = []
-    for ell in range(level_cap + 1):
-        labels = ring.in_order(ring.support(ell))
-        for lab in labels:
-            parent.setdefault(lab, lab)
-        for lab in labels[1:]:
-            union(labels[0], lab)
-        firsts.append(labels[0])
-    trivial = find(firsts[0])
-    if all(find(lab) != trivial for lab in firsts[1:]):
+    if level_cap < 0:
+        raise PreconditionError("level_cap must be >= 0")
+    # every label lies in some power and all labels of one power share a
+    # class, so the classes of powers that share labels count them: each
+    # power is joined with the first power of each of its labels
+    powers = range(level_cap + 1)
+    first: dict = {}
+    blocks = [(ell, *{first.setdefault(lab, ell) for lab in ring.power(ell)}) for ell in powers]
+    classes, _ = merge_blocks(powers, range(0), (blocks, powers))
+    if len(classes[0]) == 1:
         raise NotReachable(
             f"no power 1..{level_cap} of the fundamental returns to the trivial class"
         )
-    return len({find(x) for x in parent})
+    return len(classes)
 
 
 def format_vector(ring: FusionRing, vec: dict) -> dict[str, int]:

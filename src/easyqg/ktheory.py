@@ -80,9 +80,6 @@ class IntMatrix:
             and self.data == other.data
         )
 
-    def __hash__(self):
-        raise TypeError("IntMatrix is not hashable")
-
     def __repr__(self) -> str:
         return f"IntMatrix({self.rows}x{self.cols})"
 
@@ -465,11 +462,18 @@ def _snf_step(src: LevelModule, dst: LevelModule) -> "StepReport":
     )
 
 
-def check_diagram_commutes(
-    ring: FusionRing, fundamental: dict, k_0: int, levels: int
-) -> bool:
-    """psi after phi equals phi after psi on every consecutive level pair."""
-    return k_groups(ring, fundamental, k_0, levels).diagram_commutes
+def check_diagram_commutes(levels: list[LevelModule]) -> bool:
+    """psi after phi equals phi after psi on every consecutive level pair.
+
+    With phi = psi - inclusion, that says psi(x) is the same vector at
+    consecutive levels; ``build_levels`` computes the columns level by
+    level, so this compares products made separately.
+    """
+    return all(
+        high.psi.get(x) == vec
+        for low, high in zip(levels, levels[1:-1])
+        for x, vec in low.psi.items()
+    )
 
 
 @dataclass
@@ -548,13 +552,6 @@ def k_groups(
     mods = build_levels(ring, fundamental, k_0, levels)
     # the top basis is sorted by the ring's order and holds every label
     rank = {y: i for i, y in enumerate(mods[-1].basis)}
-    # with phi = psi - inclusion, psi o phi = phi o psi says that psi(x) is
-    # the same vector at consecutive levels (columns computed level by level)
-    commutes = all(
-        high.psi.get(x) == vec
-        for low, high in zip(mods, mods[1:-1])
-        for x, vec in low.psi.items()
-    )
     steps: list[StepReport] = []
     for src, dst in zip(mods, mods[1:]):
         if _unitriangular(src.psi, rank):
@@ -586,7 +583,7 @@ def k_groups(
         k_0=k_0,
         levels=mods,
         steps=steps,
-        diagram_commutes=commutes,
+        diagram_commutes=check_diagram_commutes(mods),
         k1_rank=k1,
         k0_stabilized=stabilized,
         k0=k0,

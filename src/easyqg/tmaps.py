@@ -107,9 +107,6 @@ class ExactMatrix:
             self.entries == other.entries
         )
 
-    def __hash__(self):
-        raise TypeError("ExactMatrix is not hashable")
-
     def __repr__(self) -> str:
         return f"ExactMatrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
 
@@ -384,6 +381,8 @@ def intertwiner_dim(
     has at most n blocks each row pivots there without fill-in.  The order of the columns cannot change
     a linear dependency, so neither the rank nor the basis depends on it.
     """
+    if k < 0 or l < 0:
+        raise PreconditionError(f"shape ({k},{l}) needs k, l >= 0")
     if k + l > sample.max_points:
         raise ShapeMismatch(
             f"shape ({k},{l}) exceeds the sample bound {sample.max_points}"

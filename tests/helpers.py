@@ -262,6 +262,28 @@ def first_power(ring, label, cap: int) -> int | None:
     return None
 
 
+def chain_group_oracle(ring, cap: int) -> int | None:
+    """The class count of labels that meet in a power, or None if uncertified.
+
+    Merges the supports of powers 0..cap that meet until no two meet, then
+    counts the groups of labels; None when no power 1..cap ends in the group
+    of power 0.
+    """
+    groups = [(set(ring.support(e)), {e}) for e in range(cap + 1)]
+    merged = True
+    while merged:
+        merged = False
+        for i, j in itertools.combinations(range(len(groups)), 2):
+            if groups[i][0] & groups[j][0]:
+                groups[i][0].update(groups[j][0])
+                groups[i][1].update(groups[j][1])
+                del groups[j]
+                merged = True
+                break
+    trivial = next(powers for _, powers in groups if 0 in powers)
+    return len(groups) if len(trivial) > 1 else None
+
+
 def recursive_word_dim(ring, label: tuple, n: int, cache: dict | None = None) -> int:
     """dim of a word from the expansion of r_y tensor r_j, plain recursion.
 

@@ -32,6 +32,8 @@ def test_tracer_sees_lazily_imported_layers():
         (workloads.o_plus(2, 2, 3), "tmaps.rank_vectors"),
         (workloads.cli("conditions-O+", "conditions", "--family", "O+",
                        check=workloads.conditions_check(2)), "conditions.check_c2_s"),
+        (workloads.cli("ktheory-O+-L8", "ktheory", "--family", "O+", "--L", 8,
+                       check=workloads.ladder_ktheory(2, 8)), "ktheory.diagram_check_s"),
     ]
     for job, metric in jobs:
         result = runner.run_job(job, trace=True)

@@ -327,6 +327,20 @@ def test_chain_group_exact_or_not_reachable_at_every_cap(family, s, order):
     assert answered and answered == list(range(answered[0], 11))
 
 
+@pytest.mark.parametrize(
+    "family,s", [("O+", None), ("S+", None)] + [("H+", s) for s in range(1, 5)]
+)
+def test_chain_group_matches_merged_supports(family, s):
+    ring = get_ring(family, s)
+    for cap in range(13):
+        want = helpers.chain_group_oracle(ring, cap)
+        if want is None:
+            with pytest.raises(NotReachable):
+                chain_group_order(ring, cap)
+        else:
+            assert chain_group_order(ring, cap) == want, cap
+
+
 def test_chain_classes_match_degree_mod_s():
     # labels co-occur in a power exactly when their degrees agree mod s
     for s in (2, 3):

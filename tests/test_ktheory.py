@@ -70,6 +70,8 @@ def test_snf_examples():
     eye = IntMatrix.identity(3)
     _, d, _ = smith_normal_form(eye)
     assert d == eye
+    with pytest.raises(TypeError):  # compared by value, so unhashable
+        hash(eye)
     _, d, _ = smith_normal_form(IntMatrix([[2, 0], [0, 4]]))
     assert d.diagonal() == [2, 4]
     m = IntMatrix([[2, 4], [6, 8]])
@@ -196,12 +198,19 @@ def test_levels_are_unions_of_boundaries():
 
 def test_diagram_commutes():
     h2 = get_ring("H+", 2)
-    assert check_diagram_commutes(h2, h2.fundamental(), 2, 4)
+    assert check_diagram_commutes(build_levels(h2, h2.fundamental(), 2, 4))
     su2 = get_ring("O+")
-    assert check_diagram_commutes(su2, su2.fundamental(), 2, 6)
-    assert check_diagram_commutes(get_ring("S+"), get_ring("S+").fundamental(), 1, 6)
+    assert check_diagram_commutes(build_levels(su2, su2.fundamental(), 2, 6))
+    assert check_diagram_commutes(build_levels(get_ring("S+"), get_ring("S+").fundamental(), 1, 6))
     # a single level has no square to check
-    assert check_diagram_commutes(h2, h2.fundamental(), 2, 1)
+    assert check_diagram_commutes(build_levels(h2, h2.fundamental(), 2, 1))
+
+
+def test_k_groups_reads_the_named_diagram_check(monkeypatch):
+    su2 = get_ring("O+")
+    assert k_groups(su2, su2.fundamental(), 2, 4).diagram_commutes
+    monkeypatch.setattr(ktheory, "check_diagram_commutes", lambda levels: False)
+    assert k_groups(su2, su2.fundamental(), 2, 4).diagram_commutes is False
 
 
 class SecondSquareDoubled(SU2Ring):

@@ -81,6 +81,15 @@ def test_dir_lists_the_exports():
     pytest.param(lambda: easyqg.HWordRing(0), easyqg.PreconditionError, id="HWordRing-s-0"),
     pytest.param(lambda: easyqg.SU2Ring().vector_power({1: 1}, -1), easyqg.PreconditionError,
                  id="vector_power-negative"),
+    pytest.param(lambda: easyqg.SU2Ring().dim(-1, 5), easyqg.NotReachable, id="SU2Ring-dim-u-1"),
+    pytest.param(lambda: easyqg.SO3Ring().dim(-2, 5), easyqg.NotReachable, id="SO3Ring-dim-u-2"),
+    pytest.param(lambda: easyqg.SO3Ring().dim(3, 5), easyqg.OddLabel, id="SO3Ring-dim-odd"),
+    pytest.param(lambda: easyqg.HWordRing(2).dim((5,), 4), easyqg.NotReachable,
+                 id="HWordRing-dim-letter-above-s"),
+    pytest.param(lambda: easyqg.HWordRing(2).dim((0, 1), 4), easyqg.NotReachable,
+                 id="HWordRing-dim-letter-0"),
+    pytest.param(lambda: easyqg.chain_group_order(easyqg.SU2Ring(), -1), easyqg.PreconditionError,
+                 id="chain_group_order-cap-negative"),
     pytest.param(lambda: easyqg.build_levels(easyqg.SU2Ring(), {1: 1}, 0, 2),
                  easyqg.PreconditionError, id="build_levels-k_0-0"),
     pytest.param(lambda: easyqg.build_levels(easyqg.SU2Ring(), {1: 1}, 2, -1),
@@ -105,6 +114,10 @@ def test_dir_lists_the_exports():
                  easyqg.PreconditionError, id="ColoredPartition-bad-blocks"),
     pytest.param(lambda: easyqg.t_map(easyqg.identity(), 0), easyqg.PreconditionError,
                  id="t_map-n-0"),
+    pytest.param(lambda: easyqg.intertwiner_dim(easyqg.family_category("O+", 4), -1, 3, 2),
+                 easyqg.PreconditionError, id="intertwiner_dim-k-negative"),
+    pytest.param(lambda: easyqg.intertwiner_dim(easyqg.family_category("O+", 4), 3, -1, 2),
+                 easyqg.PreconditionError, id="intertwiner_dim-l-negative"),
     pytest.param(lambda: easyqg.ExactMatrix(1, 1, {(1, 0): 1}), easyqg.IndexOutOfRange,
                  id="ExactMatrix-entry-outside"),
 ])

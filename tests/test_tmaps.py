@@ -149,6 +149,8 @@ def test_cached_t_map_is_read_only():
                 first.entries[(0, 0)] = 5
             with pytest.raises(TypeError):
                 del first.entries[next(iter(first.entries))]
+            with pytest.raises(TypeError):  # compared by value, so unhashable
+                hash(first)
             assert t_map(p, n) == first
             _assert_t_map_is_delta(p, n)
 
