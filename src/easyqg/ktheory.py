@@ -28,11 +28,11 @@ the tests).
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import NotReachable, PreconditionError, ShapeMismatch, WrongFamily
 from .fusion import DEFAULT_LEVEL_CAP, FusionRing, HWordRing, _add_scaled
+from .records import FrozenRecord, Record
 
 
 # ---------------------------------------------------------------------------
@@ -306,21 +306,20 @@ def invariant_factors(entries: dict[tuple[int, int], int]) -> list[int]:
     return [1] * units + [x for x in d.diagonal() if x]
 
 
-@dataclass(frozen=True)
-class FGAbelianGroup:
+class FGAbelianGroup(FrozenRecord):
     """Z^free_rank plus cyclic factors in a divisibility chain."""
 
-    free_rank: int
-    torsion: tuple[int, ...] = ()
+    __slots__ = _fields = ("free_rank", "torsion")
 
-    def __post_init__(self):
-        if self.free_rank < 0:
+    def __init__(self, free_rank: int, torsion: tuple[int, ...] = ()):
+        if free_rank < 0:
             raise PreconditionError("free rank must be >= 0")
-        if any(d <= 1 for d in self.torsion):
+        if any(d <= 1 for d in torsion):
             raise PreconditionError("torsion factors must exceed 1")
-        for a, b in zip(self.torsion, self.torsion[1:]):
+        for a, b in zip(torsion, torsion[1:]):
             if b % a:
                 raise PreconditionError("torsion factors must form a divisibility chain")
+        self._set(free_rank=free_rank, torsion=torsion)
 
     def __str__(self) -> str:
         parts = []
@@ -340,15 +339,21 @@ class FGAbelianGroup:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LevelModule:
-    """R_ell; ``psi`` maps each basis label x to x beta, empty on the top level."""
+class LevelModule(FrozenRecord):
+    """R_ell; ``psi`` maps each basis label x to x beta, empty on the top
+    level.  ``psi`` is not compared: equal modules may differ in it."""
 
-    level: int
-    power: int
-    basis: tuple
-    boundary_basis: tuple
-    psi: dict = field(default_factory=dict, compare=False, repr=False)
+    _fields = ("level", "power", "basis", "boundary_basis")
+    __slots__ = (*_fields, "psi")
+
+    def __init__(
+        self, level: int, power: int, basis: tuple, boundary_basis: tuple,
+        psi: dict | None = None,
+    ):
+        self._set(
+            level=level, power=power, basis=basis, boundary_basis=boundary_basis,
+            psi={} if psi is None else psi,
+        )
 
 
 def _support(psi: dict) -> set:
@@ -476,29 +481,60 @@ def check_diagram_commutes(levels: list[LevelModule]) -> bool:
     )
 
 
-@dataclass
-class StepReport:
-    from_level: int
-    to_level: int
-    ker_rank_phi: int
-    ker_rank_psi: int
-    coker: FGAbelianGroup
-    complement_labels: int | None  # None when the step is not certified
-    coker_rank_matches_complement: bool
-    identity_on_persisting: bool
+class StepReport(Record):
+    __slots__ = _fields = (
+        "from_level", "to_level", "ker_rank_phi", "ker_rank_psi", "coker",
+        "complement_labels", "coker_rank_matches_complement", "identity_on_persisting",
+    )
+
+    def __init__(
+        self,
+        from_level: int,
+        to_level: int,
+        ker_rank_phi: int,
+        ker_rank_psi: int,
+        coker: FGAbelianGroup,
+        complement_labels: int | None,  # None when the step is not certified
+        coker_rank_matches_complement: bool,
+        identity_on_persisting: bool,
+    ):
+        self.from_level = from_level
+        self.to_level = to_level
+        self.ker_rank_phi = ker_rank_phi
+        self.ker_rank_psi = ker_rank_psi
+        self.coker = coker
+        self.complement_labels = complement_labels
+        self.coker_rank_matches_complement = coker_rank_matches_complement
+        self.identity_on_persisting = identity_on_persisting
 
 
-@dataclass
-class InductiveLimitReport:
-    family: str
-    k_0: int
-    levels: list[LevelModule]
-    steps: list[StepReport]
-    diagram_commutes: bool
-    k1_rank: int | None
-    k0_stabilized: bool
-    k0: FGAbelianGroup | None
-    unit_class: object
+class InductiveLimitReport(Record):
+    __slots__ = _fields = (
+        "family", "k_0", "levels", "steps", "diagram_commutes", "k1_rank",
+        "k0_stabilized", "k0", "unit_class",
+    )
+
+    def __init__(
+        self,
+        family: str,
+        k_0: int,
+        levels: list[LevelModule],
+        steps: list[StepReport],
+        diagram_commutes: bool,
+        k1_rank: int | None,
+        k0_stabilized: bool,
+        k0: FGAbelianGroup | None,
+        unit_class: object,
+    ):
+        self.family = family
+        self.k_0 = k_0
+        self.levels = levels
+        self.steps = steps
+        self.diagram_commutes = diagram_commutes
+        self.k1_rank = k1_rank
+        self.k0_stabilized = k0_stabilized
+        self.k0 = k0
+        self.unit_class = unit_class
 
     def to_dict(self) -> dict:
         per_level = []

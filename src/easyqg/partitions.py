@@ -133,6 +133,19 @@ class ColoredPartition:
         self.blocks = canon
         self._hash = hash((k, l, upper, lower, canon))
 
+    @classmethod
+    def _trusted(
+        cls, k: int, l: int, upper: tuple, lower: tuple, blocks: tuple
+    ) -> "ColoredPartition":
+        """Wrap parts that are already canonical: valid color tuples and
+        blocks that are ascending tuples, listed by least point, covering
+        1..k+l."""
+        p = cls.__new__(cls)
+        p.k, p.l, p.points = k, l, k + l
+        p.upper_colors, p.lower_colors, p.blocks = upper, lower, blocks
+        p._hash = hash((k, l, upper, lower, blocks))
+        return p
+
     # -- basic protocol ------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -315,7 +328,11 @@ def compose(q: ColoredPartition, p: ColoredPartition) -> tuple[ColoredPartition,
         )
     kept, middle, p_nodes, q_nodes = _stack_nodes(p.k, t, q.l)
     blocks, removed = merge_blocks(kept, middle, (p.blocks, p_nodes), (q.blocks, q_nodes))
-    result = ColoredPartition(p.k, q.l, p.upper_colors, q.lower_colors, blocks)
+    # merge_blocks lists the classes canonically, and the colors come from
+    # two valid diagrams, so nothing is left to sort or check
+    result = ColoredPartition._trusted(
+        p.k, q.l, p.upper_colors, q.lower_colors, tuple([tuple(b) for b in blocks])
+    )
     return result, removed
 
 

@@ -1,7 +1,11 @@
 """Exact matrix realizations T_p of partitions on (C^n)^{tensor k}.
 
-All arithmetic is over the rationals (``fractions.Fraction``); there is no
-floating point anywhere in this module.  A multi-index (x_1, ..., x_k)
+All arithmetic is exact, on integers and rationals (``fractions.Fraction``);
+there is no floating point anywhere in this module.  ``Fraction`` is
+imported only where a rational is made (the projections, and
+``_integerize`` of a vector with a non-integer entry), so a job that
+builds T_p and ranks intertwiners never loads ``fractions`` or the
+``decimal`` it imports.  A multi-index (x_1, ..., x_k)
 with entries in 1..n maps to the flat index sum (x_t - 1) * n^(k-t), so
 the first tensor factor is the most significant digit and the Kronecker
 product of matrices matches the tensor product of partitions.
@@ -26,8 +30,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Sequence
@@ -49,6 +51,7 @@ from .partitions import (
     precedes,
     tensor,
 )
+from .records import Record
 
 DEFAULT_ENTRY_CAP = 10**7
 ENTRY_CAP_ENV = "EASYQG_MAX_TMAP_ENTRIES"
@@ -149,11 +152,9 @@ class ExactMatrix:
         for (r, c), val in self.entries.items():
             for c2, val2 in by_row.get(c, ()):
                 key = (r, c2)
-                new = out.get(key, 0) + val * val2
-                if new:
-                    out[key] = new
-                else:
-                    del out[key]
+                out[key] = out.get(key, 0) + val * val2
+        if not all(out.values()):
+            out = {key: val for key, val in out.items() if val}
         return ExactMatrix._trusted(self.rows, other.cols, out)
 
     def kron(self, other: "ExactMatrix") -> "ExactMatrix":
@@ -322,6 +323,12 @@ class IntRowReducer:
 
 
 def _integerize(vec: dict[int, object]) -> dict[int, int]:
+    """The vector scaled to integers by the lcm of its denominators; an
+    all-integer vector is returned as it is."""
+    if all(isinstance(v, int) for v in vec.values()):
+        return vec
+    from fractions import Fraction
+
     denoms = [Fraction(v).denominator for v in vec.values()]
     scale = math.lcm(*denoms) if denoms else 1
     return {c: int(Fraction(v) * scale) for c, v in vec.items()}
@@ -411,12 +418,22 @@ def intertwiner_dim(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ProjectionReport:
-    p: ColoredPartition
-    P_matrix: ExactMatrix
-    R_matrix: ExactMatrix
-    sub_projectives_used: list[ColoredPartition] = field(default_factory=list)
+class ProjectionReport(Record):
+    __slots__ = _fields = ("p", "P_matrix", "R_matrix", "sub_projectives_used")
+
+    def __init__(
+        self,
+        p: ColoredPartition,
+        P_matrix: ExactMatrix,
+        R_matrix: ExactMatrix,
+        sub_projectives_used: list[ColoredPartition] | None = None,
+    ):
+        self.p = p
+        self.P_matrix = P_matrix
+        self.R_matrix = R_matrix
+        self.sub_projectives_used = (
+            [] if sub_projectives_used is None else sub_projectives_used
+        )
 
     def verify(self) -> bool:
         P, R = self.P_matrix, self.R_matrix
@@ -437,6 +454,8 @@ def range_projection(columns: list[dict[int, object]], dim: int) -> ExactMatrix:
     elimination runs on integers.  The projection is E D^{-1} E^t with
     D = diag(<e, e>).
     """
+    from fractions import Fraction
+
     basis: list[tuple[dict[int, int], int]] = []
     for col in columns:
         vec = {r: v for r, v in _integerize(col).items() if v}
@@ -477,6 +496,8 @@ def projective_projection(
     p: ColoredPartition, sample, n: int
 ) -> ProjectionReport:
     """P_p = T_p / n^{b(p,p)} minus the projection onto smaller ranges."""
+    from fractions import Fraction
+
     if not is_projective(p):
         raise NotProjective(f"{p!r} is not projective")
     if not sample.saturated:

@@ -284,6 +284,45 @@ print(json.dumps({"loaded": loaded, "code": code, "tmaps": "easyqg.tmaps" in sys
     assert json.loads(proc.stdout) == {"loaded": [], "code": EXIT_OK, "tmaps": True}
 
 
+def test_heavy_layers_load_no_record_or_decimal_machinery():
+    # a fresh interpreter, because this one has imported every module already
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    code = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import easyqg.cli
+avoided = ("dataclasses", "inspect", "fractions", "decimal")
+jobs = [
+    ["conditions", "--family", "H+", "--s", "2", "--max-points", "6"],
+    ["ktheory", "--family", "O+", "--L", "4"],
+    ["intertwiners", "--family", "S+", "--k", "2", "--l", "2", "--n", "2"],
+]
+report = []
+for job in jobs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = easyqg.cli.main(job)
+    report.append([job[0], code, [m for m in avoided if m in sys.modules]])
+from easyqg import family_category, identity_power, projective_projection
+rep = projective_projection(identity_power(2), family_category("S+", 4), 2)
+report.append(["projection", rep.verify(), "fractions" in sys.modules])
+print(json.dumps(report))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, src], capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [
+        ["conditions", EXIT_OK, []],
+        ["ktheory", EXIT_OK, []],
+        ["intertwiners", EXIT_OK, []],
+        ["projection", True, True],
+    ]
+
+
 def test_ktheory_strict_exit_4(capsys):
     code, _, _ = run(
         capsys, "ktheory", "--family", "H+", "--s", "2", "--L", "3", "--strict"

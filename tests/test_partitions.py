@@ -181,6 +181,33 @@ def test_compose_associative_with_loop_counts():
     assert checked > 1000
 
 
+def _validated(p: ColoredPartition) -> ColoredPartition:
+    return ColoredPartition(p.k, p.l, p.upper_colors, p.lower_colors, p.blocks)
+
+
+def test_compose_builds_the_canonical_partition():
+    """compose skips the checking constructor; its result equals, and hashes
+    as, the partition validated from the same parts."""
+    white = helpers.white_noncrossing(6)
+    checked = 0
+    for p in white:
+        for q in white:
+            if q.k == p.l and p.k + p.l + q.l <= 6:
+                qp, _ = compose(q, p)
+                assert qp == _validated(qp) and hash(qp) == hash(_validated(qp))
+                checked += 1
+    assert checked > 10_000
+    colored = helpers.colored_noncrossing(4)
+    rng = Random(4)
+    crossing = [helpers.random_partition(rng, 6) for _ in range(300)]
+    for p in colored[::7] + tuple(crossing):
+        for q in colored:
+            if q.upper_colors == p.lower_colors:
+                qp, _ = compose(q, p)
+                assert qp == _validated(qp) and hash(qp) == hash(_validated(qp))
+                assert all(type(b) is tuple for b in qp.blocks)
+
+
 def test_tensor_distributes_over_compose():
     pairs = []
     for a in range(3):

@@ -176,6 +176,23 @@ def test_operations_keep_the_matrix_invariant():
                 assert m == ExactMatrix(m.rows, m.cols, dict(m.entries))
 
 
+def test_product_whose_entries_cancel_stores_no_zero():
+    row = ExactMatrix(1, 2, {(0, 0): 1, (0, 1): 1})
+    prod = row @ ExactMatrix(2, 1, {(0, 0): 1, (1, 0): -1})
+    assert prod.is_zero() and prod.entries == {}
+    # only the cancelled entry is dropped
+    mixed = ExactMatrix(2, 2, {(0, 0): 1, (0, 1): 1, (1, 0): 2})
+    prod = mixed @ ExactMatrix(2, 1, {(0, 0): 1, (1, 0): -1})
+    assert prod.entries == {(1, 0): 2}
+
+
+def test_integerize_scales_by_the_lcm_of_the_denominators():
+    assert tmaps._integerize({0: 3, 5: -2}) == {0: 3, 5: -2}
+    halves = {0: Fraction(1, 2), 1: Fraction(2, 3), 2: 1}
+    assert tmaps._integerize(halves) == {0: 3, 1: 4, 2: 6}
+    assert rank_of_vectors([halves, {0: 3, 1: 4, 2: 6}, {1: 1}]) == 2
+
+
 # -- functoriality -------------------------------------------------------------
 
 
