@@ -40,59 +40,25 @@ UNDETERMINED = "undetermined"
 
 
 class CPVerdicts(Record):
-    """k(C), the verdicts (C_P1) and (C_P2) with their witnesses, and the
-    clause of the characterization that decided them."""
+    """k(C), the verdicts (C_P1) and (C_P2) with their witnesses (literal
+    partitions, or ``None``), and the clause of the characterization that
+    decided them."""
 
     __slots__ = _fields = ("k", "cp1", "cp2", "rule", "cp1_witness", "cp2_witness")
-
-    def __init__(
-        self,
-        k: int,
-        cp1: str = FAILS,
-        cp2: str = FAILS,
-        rule: str = "a",
-        cp1_witness: str | None = None,
-        cp2_witness: str | None = None,
-    ):
-        self.k = k
-        self.cp1 = cp1
-        self.cp2 = cp2
-        self.rule = rule
-        self.cp1_witness = cp1_witness
-        self.cp2_witness = cp2_witness
+    _defaults = {"cp1": FAILS, "cp2": FAILS, "rule": "a", "cp1_witness": None, "cp2_witness": None}
 
 
 class ConditionReport(Record):
+    """(C1) and (C2) of one family (``s`` only for H+), each as a verdict, its
+    witnesses and a note; ``c2_witness`` is (N, k_0) or ``None``.  ``cp`` holds
+    the partition-level verdicts, ``consistent`` is false when they and the
+    fusion-level ones disagree, and ``bounds_used`` maps each cap to its value."""
+
     __slots__ = _fields = (
         "family", "s", "c1_status", "c1_witnesses", "c1_note", "c2_status",
         "c2_witness", "c2_note", "cp", "consistent", "bounds_used",
     )
-
-    def __init__(
-        self,
-        family: str,
-        s: int | None,
-        c1_status: str,
-        c1_witnesses: dict[str, str],
-        c1_note: str,
-        c2_status: str,
-        c2_witness: tuple[int, int] | None,
-        c2_note: str,
-        cp: CPVerdicts,
-        consistent: bool,
-        bounds_used: dict | None = None,
-    ):
-        self.family = family
-        self.s = s
-        self.c1_status = c1_status
-        self.c1_witnesses = c1_witnesses
-        self.c1_note = c1_note
-        self.c2_status = c2_status
-        self.c2_witness = c2_witness
-        self.c2_note = c2_note
-        self.cp = cp
-        self.consistent = consistent
-        self.bounds_used = {} if bounds_used is None else bounds_used
+    _defaults = {"bounds_used": {}}
 
     def to_dict(self) -> dict:
         return {

@@ -28,6 +28,7 @@ the tests).
 from __future__ import annotations
 
 from bisect import bisect_left
+from operator import index
 from typing import Sequence
 
 from .errors import NotReachable, PreconditionError, ShapeMismatch, WrongFamily
@@ -47,7 +48,10 @@ class IntMatrix:
 
     def __init__(self, data: Sequence[Sequence[int]], rows: int | None = None,
                  cols: int | None = None):
-        self.data = [list(map(int, row)) for row in data]
+        try:
+            self.data = [list(map(index, row)) for row in data]
+        except TypeError as exc:
+            raise PreconditionError(f"matrix entries must be integers: {exc}") from None
         self.rows = len(self.data) if rows is None else rows
         self.cols = (len(self.data[0]) if self.data else 0) if cols is None else cols
         if self.rows and any(len(row) != self.cols for row in self.data):
@@ -65,11 +69,11 @@ class IntMatrix:
 
     @classmethod
     def from_columns(cls, rows: int, columns: Sequence[dict[int, int]]) -> "IntMatrix":
-        m = cls.zeros(rows, len(columns))
+        data = [[0] * len(columns) for _ in range(rows)]
         for j, col in enumerate(columns):
             for i, v in col.items():
-                m.data[i][j] = v
-        return m
+                data[i][j] = v
+        return cls(data, rows, len(columns))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntMatrix):
@@ -307,11 +311,12 @@ def invariant_factors(entries: dict[tuple[int, int], int]) -> list[int]:
 
 
 class FGAbelianGroup(FrozenRecord):
-    """Z^free_rank plus cyclic factors in a divisibility chain."""
+    """Z^free_rank plus cyclic factors in a divisibility chain (a tuple)."""
 
     __slots__ = _fields = ("free_rank", "torsion")
 
-    def __init__(self, free_rank: int, torsion: tuple[int, ...] = ()):
+    def __init__(self, free_rank: int, torsion: Sequence[int] = ()):
+        torsion = tuple(torsion)
         if free_rank < 0:
             raise PreconditionError("free rank must be >= 0")
         if any(d <= 1 for d in torsion):
@@ -319,7 +324,7 @@ class FGAbelianGroup(FrozenRecord):
         for a, b in zip(torsion, torsion[1:]):
             if b % a:
                 raise PreconditionError("torsion factors must form a divisibility chain")
-        self._set(free_rank=free_rank, torsion=torsion)
+        super().__init__(free_rank, torsion)
 
     def __str__(self) -> str:
         parts = []
@@ -340,20 +345,14 @@ class FGAbelianGroup(FrozenRecord):
 
 
 class LevelModule(FrozenRecord):
-    """R_ell; ``psi`` maps each basis label x to x beta, empty on the top
-    level.  ``psi`` is not compared: equal modules may differ in it."""
+    """R_ell on ``basis``, the support of u^power in the ring's order, whose
+    ``boundary_basis`` is its labels of degree ``power``.  ``psi`` maps each
+    basis label x to x beta, empty on the top level.  ``psi`` is not
+    compared: equal modules may differ in it."""
 
     _fields = ("level", "power", "basis", "boundary_basis")
     __slots__ = (*_fields, "psi")
-
-    def __init__(
-        self, level: int, power: int, basis: tuple, boundary_basis: tuple,
-        psi: dict | None = None,
-    ):
-        self._set(
-            level=level, power=power, basis=basis, boundary_basis=boundary_basis,
-            psi={} if psi is None else psi,
-        )
+    _defaults = {"psi": {}}
 
 
 def _support(psi: dict) -> set:
@@ -482,59 +481,25 @@ def check_diagram_commutes(levels: list[LevelModule]) -> bool:
 
 
 class StepReport(Record):
+    """One step of the inductive system: the kernel ranks of phi and psi,
+    coker phi, and the certificate's count of complement labels (``None``
+    when the step is not certified) and its two checks (then false)."""
+
     __slots__ = _fields = (
         "from_level", "to_level", "ker_rank_phi", "ker_rank_psi", "coker",
         "complement_labels", "coker_rank_matches_complement", "identity_on_persisting",
     )
 
-    def __init__(
-        self,
-        from_level: int,
-        to_level: int,
-        ker_rank_phi: int,
-        ker_rank_psi: int,
-        coker: FGAbelianGroup,
-        complement_labels: int | None,  # None when the step is not certified
-        coker_rank_matches_complement: bool,
-        identity_on_persisting: bool,
-    ):
-        self.from_level = from_level
-        self.to_level = to_level
-        self.ker_rank_phi = ker_rank_phi
-        self.ker_rank_psi = ker_rank_psi
-        self.coker = coker
-        self.complement_labels = complement_labels
-        self.coker_rank_matches_complement = coker_rank_matches_complement
-        self.identity_on_persisting = identity_on_persisting
-
 
 class InductiveLimitReport(Record):
+    """The levels, steps and K-data; ``k1_rank`` and ``k0`` are ``None`` until
+    they stabilize, and ``unit_class`` is 1 when K_0 is Z, else the class of
+    the trivial label."""
+
     __slots__ = _fields = (
         "family", "k_0", "levels", "steps", "diagram_commutes", "k1_rank",
         "k0_stabilized", "k0", "unit_class",
     )
-
-    def __init__(
-        self,
-        family: str,
-        k_0: int,
-        levels: list[LevelModule],
-        steps: list[StepReport],
-        diagram_commutes: bool,
-        k1_rank: int | None,
-        k0_stabilized: bool,
-        k0: FGAbelianGroup | None,
-        unit_class: object,
-    ):
-        self.family = family
-        self.k_0 = k_0
-        self.levels = levels
-        self.steps = steps
-        self.diagram_commutes = diagram_commutes
-        self.k1_rank = k1_rank
-        self.k0_stabilized = k0_stabilized
-        self.k0 = k0
-        self.unit_class = unit_class
 
     def to_dict(self) -> dict:
         per_level = []

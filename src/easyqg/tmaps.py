@@ -419,21 +419,12 @@ def intertwiner_dim(
 
 
 class ProjectionReport(Record):
-    __slots__ = _fields = ("p", "P_matrix", "R_matrix", "sub_projectives_used")
+    """P_p for the projective partition ``p``: ``P_matrix`` is P_p, and
+    ``R_matrix`` the projection onto the span of the smaller projectives
+    listed in ``sub_projectives_used`` (a fresh ``[]`` by default)."""
 
-    def __init__(
-        self,
-        p: ColoredPartition,
-        P_matrix: ExactMatrix,
-        R_matrix: ExactMatrix,
-        sub_projectives_used: list[ColoredPartition] | None = None,
-    ):
-        self.p = p
-        self.P_matrix = P_matrix
-        self.R_matrix = R_matrix
-        self.sub_projectives_used = (
-            [] if sub_projectives_used is None else sub_projectives_used
-        )
+    __slots__ = _fields = ("p", "P_matrix", "R_matrix", "sub_projectives_used")
+    _defaults = {"sub_projectives_used": []}
 
     def verify(self) -> bool:
         P, R = self.P_matrix, self.R_matrix

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import types
+from pathlib import Path
 
 import pytest
 
@@ -100,6 +102,12 @@ def test_dir_lists_the_exports():
                  id="IntMatrix-ragged-rows"),
     pytest.param(lambda: easyqg.IntMatrix([[1, 2]], rows=2), easyqg.PreconditionError,
                  id="IntMatrix-row-count-mismatch"),
+    pytest.param(lambda: easyqg.IntMatrix([[2.5, 0], [0, 1]]), easyqg.PreconditionError,
+                 id="IntMatrix-fractional-entry"),
+    pytest.param(lambda: easyqg.IntMatrix([["a"]]), easyqg.PreconditionError,
+                 id="IntMatrix-string-entry"),
+    pytest.param(lambda: easyqg.IntMatrix.from_columns(1, [{0: 2.5}]),
+                 easyqg.PreconditionError, id="IntMatrix-from_columns-fractional-entry"),
     pytest.param(lambda: easyqg.FGAbelianGroup(-1), easyqg.PreconditionError,
                  id="FGAbelianGroup-negative-rank"),
     pytest.param(lambda: easyqg.FGAbelianGroup(0, (1,)), easyqg.PreconditionError,
@@ -128,3 +136,16 @@ def test_out_of_domain_calls_raise_typed_errors(call, error):
         call()
     assert isinstance(info.value, easyqg.EasyQGError)
     assert isinstance(info.value, ValueError)
+
+
+def test_src_raises_no_bare_value_error():
+    # a caller catches EasyQGError for every rejected input; a bare
+    # ValueError would escape that handler
+    offenders = []
+    for path in sorted(Path(easyqg.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "ValueError":
+                    offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

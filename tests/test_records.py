@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 
 from easyqg import ExactMatrix, identity
-from easyqg.conditions import FAILS, ConditionReport, CPVerdicts
+from easyqg.conditions import FAILS, HOLDS, ConditionReport, CPVerdicts
 from easyqg.ktheory import FGAbelianGroup, LevelModule, StepReport
 from easyqg.tmaps import ProjectionReport
 
@@ -25,6 +25,8 @@ def test_fg_abelian_group_is_an_immutable_value():
     with pytest.raises(AttributeError):
         del group.torsion
     assert repr(group) == "FGAbelianGroup(free_rank=1, torsion=(2, 4))"
+    listed = FGAbelianGroup(1, [2, 4])  # stored as a tuple, so hashable
+    assert listed == group and hash(listed) == hash(group) and listed.torsion == (2, 4)
 
 
 def test_level_module_ignores_psi_in_equality():
@@ -66,3 +68,35 @@ def test_step_report_takes_its_fields_in_order():
     assert (step.from_level, step.to_level, step.ker_rank_phi, step.ker_rank_psi) == (0, 1, 2, 3)
     assert step.coker == FGAbelianGroup(1) and step.complement_labels is None
     assert not step.coker_rank_matches_complement and step.identity_on_persisting
+
+
+def test_record_constructor_binds_keywords_like_positions():
+    by_position = CPVerdicts(3, HOLDS, FAILS, "b")
+    assert CPVerdicts(3, cp1=HOLDS, rule="b") == by_position
+    assert CPVerdicts(rule="b", cp2=FAILS, k=3, cp1=HOLDS) == by_position
+    level = LevelModule(0, 2, ("x",), (), {"x": {"y": 1}})
+    named = LevelModule(psi={"x": {"y": 1}}, boundary_basis=(), basis=("x",), power=2, level=0)
+    assert named == level and named.psi == level.psi
+
+
+@pytest.mark.parametrize("make, message", [
+    pytest.param(lambda: CPVerdicts(3, FAILS, FAILS, "a", None, None, None),
+                 "takes 6 arguments", id="Record-too-many"),
+    pytest.param(lambda: CPVerdicts(3, colour=1),
+                 "unexpected keyword argument 'colour'", id="Record-unknown-keyword"),
+    pytest.param(lambda: CPVerdicts(3, k=3),
+                 "multiple values for argument 'k'", id="Record-given-twice"),
+    pytest.param(lambda: CPVerdicts(cp1=FAILS),
+                 "missing argument 'k'", id="Record-missing"),
+    pytest.param(lambda: LevelModule(0, 2, (), (), {}, None),
+                 "takes 5 arguments", id="FrozenRecord-too-many"),
+    pytest.param(lambda: LevelModule(0, 2, (), (), flavour=1),
+                 "unexpected keyword argument 'flavour'", id="FrozenRecord-unknown-keyword"),
+    pytest.param(lambda: LevelModule(0, 2, (), (), power=2),
+                 "multiple values for argument 'power'", id="FrozenRecord-given-twice"),
+    pytest.param(lambda: LevelModule(0, 2, ()),
+                 "missing argument 'boundary_basis'", id="FrozenRecord-missing"),
+])
+def test_record_constructor_rejects_what_a_signature_would(make, message):
+    with pytest.raises(TypeError, match=message):
+        make()
