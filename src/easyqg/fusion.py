@@ -2,14 +2,17 @@
 
 Irreducible labels are plain data: an integer k for the u_k families, a
 tuple of letters in {1, ..., s} for the word family (the class of 0 is
-written as the letter s).  A fusion vector is a dict mapping labels to
-integer multiplicities with no stored zeros.  The ring object carries the
-family tag and the memoized powers and dims, so labels never need to; a
-product of two labels is computed afresh on every call.  Within one call of
-``times_each`` the word ring multiplies each distinct tail once: a product
-r_x r_y reads only the last |y| + 1 letters of x, and the rest of x is a
-prefix of every term, and each distinct term is one object shared by every
-column it is in.  Nothing is kept across calls.
+written as the letter s).  The K-theory level build stores words packed as
+``bytes`` (``pack``; a letter fits a byte when s <= 255): the word
+arithmetic takes either type and answers in its operands' type, so a
+caller that passes tuples gets tuples back.  A fusion vector is a dict
+mapping labels to integer multiplicities with no stored zeros.  The ring
+object carries the family tag and the memoized powers and dims, so labels
+never need to; a product of two labels is computed afresh on every call.
+Within one call of ``times_each`` the word ring multiplies each distinct
+tail once: a product r_x r_y reads only the last |y| + 1 letters of x, and
+the rest of x is a prefix of every term, and each distinct term is one
+object shared by every column it is in.  Nothing is kept across calls.
 
 The word family (s >= 1) follows the two monoid rules
 
@@ -44,24 +47,23 @@ SEARCH_LEVEL_CAP = 10
 
 # ---------------------------------------------------------------------------
 # Raw word operations (letters in 1..s; the letter s represents the class 0).
+# A word is a tuple or bytes; every result has the type of its operands.
 # ---------------------------------------------------------------------------
 
 
-def _involution(letters: tuple[int, ...], s: int) -> tuple[int, ...]:
-    return tuple((-x) % s or s for x in reversed(letters))
+def _involution(letters, s: int):
+    return type(letters)((-x) % s or s for x in reversed(letters))
 
 
-def _fusion(a: tuple[int, ...], b: tuple[int, ...], s: int):
+def _fusion(a, b, s: int):
     if not a or not b:
         return None
     merged = (a[-1] + b[0]) % s or s
-    return a[:-1] + (merged,) + b[1:]
+    return a[:-1] + type(a)((merged,)) + b[1:]
 
 
-def _pair_product(
-    x: tuple[int, ...], y: tuple[int, ...], s: int
-) -> dict[tuple[int, ...], int]:
-    """r_x tensor r_y expanded over all cancelable splittings.
+def _pair_product(x, y, s: int) -> dict:
+    """r_x tensor r_y expanded over all cancelable splittings, as words of x's type.
 
     The splittings x = vz, y = z~ w are taken by t = len(z) ascending.  The
     z of length t cancels exactly when the one of length t - 1 does and
@@ -172,6 +174,10 @@ class FusionRing:
 
     def sort_key(self, label):
         return (self._grade(label), label)
+
+    def pack(self, label):
+        """The label as ``build_levels`` stores it; the same label here."""
+        return label
 
     def in_order(self, labels) -> list:
         """The labels as a list in the ring's order, ``sort_key``."""
@@ -338,6 +344,15 @@ class HWordRing(FusionRing):
             out[x] = {canon.setdefault(w := head + y, w): m for y, m in product.items()}
         return out
 
+    def sort_key(self, label):
+        # the letter sum is the degree of every word in the ring
+        return (sum(label), label)
+
+    def pack(self, label):
+        """The word as bytes, in the same order and with the same letters,
+        sum, slices and concatenation; a tuple when s > 255."""
+        return bytes(label) if self.s <= 255 else label
+
     def in_order(self, labels) -> list:
         """(degree, word) order: the sorted words, stably sorted by letter sum."""
         out = sorted(labels)
@@ -386,7 +401,7 @@ class HWordRing(FusionRing):
             for m in range(len(label) - 1, 1, -1):
                 last = label[m - 1]
                 tails = {last} | {(last + c) % self.s or self.s for c in tails}
-                words.extend(label[: m - 1] + (c,) for c in tails)
+                words.extend(label[: m - 1] + type(label)((c,)) for c in tails)
             for word in reversed(words):
                 self._dim(word, n)
         if not label:
@@ -394,7 +409,7 @@ class HWordRing(FusionRing):
         elif len(label) == 1:
             value = n - 1 if label[0] == self.s else n
         else:
-            y, j = label[:-1], (label[-1],)
+            y, j = label[:-1], label[-1:]
             total = self._dim(y, n) * self._dim(j, n)
             for gamma, mult in self.decompose(y, j).items():
                 if gamma == label:

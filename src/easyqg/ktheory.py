@@ -8,14 +8,15 @@ nest), and the maps
     phi(a) = a (beta - 1)        psi(a) = a beta
 
 then reads K_1 off kernel ranks and K_0 off cokernels with the connecting
-maps induced by psi.  It runs in one pass: each level multiplies its basis
-by beta once, and as multiplicities are positive the supports of these psi
-columns form the next basis, sorted by the ring's order (``in_order``);
-each boundary is the trailing run of its basis whose ``degree`` is the
-level's power, found by bisection, and phi = psi minus the inclusion.  An
-O(nnz) certificate that [phi | e_complement] is unitriangular settles
-kernels, cokernels and the connecting map: it reads the pivot of each
-column off the ring's order, so it needs no knowledge of the family.  A
+maps induced by psi.  It runs in one pass on labels packed by the ring
+(``pack``: bytes for words): each level multiplies its basis by beta once,
+and as multiplicities are positive the supports of these psi columns form
+the next basis, sorted by the ring's order (``in_order``); each boundary is
+the trailing run of its basis whose ``degree`` is the level's power, found
+by bisection, and phi = psi minus the inclusion.  An O(nnz) certificate
+that [phi | e_complement] is unitriangular settles kernels, cokernels and
+the connecting map: it compares labels by the ring's ``sort_key``, so it
+needs no knowledge of the family and no table over the labels.  A
 step it does not cover falls back to invariant factors of phi and psi,
 which give kernels and the cokernel but leave the connecting map
 unverified.  The full (U, D, V) Smith normal form uses the
@@ -377,9 +378,11 @@ def build_levels(
         raise PreconditionError("k_0 must be >= 1")
     if levels < 0:
         raise PreconditionError("levels must be >= 0")
-    beta = ring.vector_power(fundamental, k_0)
+    # the levels hold labels packed by the ring (bytes words), and every
+    # product keeps its operands' type, so packing beta and u^N packs them all
+    beta = {ring.pack(y): m for y, m in ring.vector_power(fundamental, k_0).items()}
     for start in range(DEFAULT_LEVEL_CAP + 1):
-        basis = tuple(ring.in_order(ring.vector_power(fundamental, start)))
+        basis = tuple(ring.in_order(map(ring.pack, ring.vector_power(fundamental, start))))
         psi = ring.times_each(basis, beta)
         if _support(psi).issuperset(basis):
             break
@@ -406,22 +409,22 @@ def build_levels(
     return out
 
 
-def _unitriangular(psi: dict, rank: dict) -> bool:
+def _unitriangular(psi: dict, key) -> bool:
     """Certificate that [phi | e_complement] is unitriangular, in O(nnz).
 
     The pivot of column x is the largest label of psi(x) in the ring's
-    order (``rank``).  The certificate holds when every pivot lies above x,
-    has coefficient 1 and is no other column's pivot.  phi(x) = psi(x) - x
-    then has the same pivot and coefficient, and sorting the columns by
-    pivot makes phi, psi and [phi | e_complement] triangular with unit
-    diagonal, so ker phi = ker psi = 0, coker phi is free on the labels
-    that are no pivot, and psi induces the identity on the persisting
-    classes.
+    order, its ``sort_key`` (``key``).  The certificate holds when every
+    pivot lies above x, has coefficient 1 and is no other column's pivot.
+    phi(x) = psi(x) - x then has the same pivot and coefficient, and
+    sorting the columns by pivot makes phi, psi and [phi | e_complement]
+    triangular with unit diagonal, so ker phi = ker psi = 0, coker phi is
+    free on the labels that are no pivot, and psi induces the identity on
+    the persisting classes.
     """
     pivots = set()
     for x, col in psi.items():
-        pivot = max(col, key=rank.__getitem__)
-        if rank[pivot] <= rank[x] or col[pivot] != 1 or pivot in pivots:
+        pivot = max(col, key=key)
+        if key(pivot) <= key(x) or col[pivot] != 1 or pivot in pivots:
             return False
         pivots.add(pivot)
     return True
@@ -551,11 +554,9 @@ def k_groups(
     if levels < 1:
         raise PreconditionError("need at least one level step")
     mods = build_levels(ring, fundamental, k_0, levels)
-    # the top basis is sorted by the ring's order and holds every label
-    rank = {y: i for i, y in enumerate(mods[-1].basis)}
     steps: list[StepReport] = []
     for src, dst in zip(mods, mods[1:]):
-        if _unitriangular(src.psi, rank):
+        if _unitriangular(src.psi, ring.sort_key):
             free = len(dst.basis) - len(src.basis)
             steps.append(StepReport(
                 src.level, dst.level, 0, 0, FGAbelianGroup(free), free, True, True
@@ -602,6 +603,7 @@ def phi_structure_check(ring: FusionRing, word: tuple) -> bool:
         raise WrongFamily("phi_structure_check needs the word family")
     s = ring.s
     beta = ring.vector_power(ring.fundamental(), s)
+    word = tuple(word)
     vec = dict(ring.multiply({word: 1}, beta))
     _add_scaled(vec, {word: 1}, -1)
     ones = word + (1,) * s

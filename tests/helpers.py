@@ -322,6 +322,11 @@ def member_loop_k(sample) -> int:
     return g
 
 
+def packed(ring, vec: dict) -> dict:
+    """A fusion vector with its labels as the level build stores them (``ring.pack``)."""
+    return {ring.pack(y): m for y, m in vec.items()}
+
+
 def power_sweep_levels(ring, k_0: int, levels: int) -> list[tuple]:
     """``(power, basis, boundary)`` of every level, from full tensor powers.
 

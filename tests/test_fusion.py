@@ -195,6 +195,40 @@ def test_word_order_is_the_sort_key_order(s):
         assert ring.in_order(labels) == sorted(labels, key=ring.sort_key)
 
 
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+def test_pack_commutes_with_the_order_and_the_products(s):
+    ring = HWordRing(s)
+    rng = Random(100 + s)
+    for _ in range(200):
+        labels = list({
+            tuple(rng.randint(1, s) for _ in range(rng.randint(0, 7)))
+            for _ in range(rng.randint(0, 30))
+        })
+        rng.shuffle(labels)
+        words = [ring.pack(x) for x in labels]
+        assert all(type(w) is bytes for w in words)
+        assert ring.in_order(words) == [ring.pack(x) for x in ring.in_order(labels)]
+        assert sorted(words, key=ring.sort_key) == ring.in_order(words)
+    labels = ring.irreducibles_up_to_degree(6)
+    words = [ring.pack(x) for x in labels]
+    for b in labels:
+        for a in labels:
+            assert ring._pair(ring.pack(a), ring.pack(b)) == helpers.packed(ring, ring._pair(a, b))
+        columns = ring.times_each(labels, {b: 1})
+        assert ring.times_each(words, {ring.pack(b): 1}) == {
+            ring.pack(x): helpers.packed(ring, col) for x, col in columns.items()
+        }
+
+
+def test_pack_is_the_identity_off_byte_words():
+    for ring in (SU2Ring(), SO3Ring()):
+        assert all(ring.pack(label) is label for label in range(0, 13, 2))
+    # a letter above 255 does not fit a byte, so the word stays a tuple
+    h256 = HWordRing(256)
+    assert h256.pack((256, 1)) == (256, 1)
+    assert h256.decompose((256,), (1,)) == {(256, 1): 1, (1,): 1}
+
+
 # -- ladder rules ------------------------------------------------------------
 
 

@@ -36,8 +36,9 @@ def random_matrix(rng: Random, rows: int, cols: int, bound: int = 20) -> IntMatr
 def step_matrices(ring, src, dst, beta) -> tuple[IntMatrix, IntMatrix]:
     """phi from its definition a(beta - 1), psi from the engine's columns."""
     pos = {label: i for i, label in enumerate(dst.basis)}
+    beta = helpers.packed(ring, beta)
     beta_minus_one = dict(beta)
-    _add_scaled(beta_minus_one, {ring.trivial(): 1}, -1)
+    _add_scaled(beta_minus_one, {ring.pack(ring.trivial()): 1}, -1)
     phi = [
         {pos[y]: m for y, m in ring.multiply({x: 1}, beta_minus_one).items()}
         for x in src.basis
@@ -178,9 +179,9 @@ def test_fg_abelian_group_validation():
 def test_build_levels_examples():
     h2 = get_ring("H+", 2)
     levels = build_levels(h2, h2.fundamental(), 2, 1)
-    assert levels[0].basis == ((),)
-    assert set(levels[1].basis) == {(), (1, 1), (2,)}
-    assert set(levels[1].boundary_basis) == {(1, 1), (2,)}
+    assert levels[0].basis == (h2.pack(()),)
+    assert set(levels[1].basis) == set(map(h2.pack, {(), (1, 1), (2,)}))
+    assert set(levels[1].boundary_basis) == set(map(h2.pack, {(1, 1), (2,)}))
     su2 = get_ring("O+")
     levels = build_levels(su2, su2.fundamental(), 2, 1)
     assert levels[1].basis == (0, 2)
@@ -245,10 +246,10 @@ class SecondTailProductChanged(HWordRing):
 
     def _pair(self, a: tuple, b: tuple) -> dict:
         out = super()._pair(a, b)
-        if (a, b) == ((2,), (2,)):
+        if (tuple(a), tuple(b)) == ((2,), (2,)):
             self.squares += 1
             if self.squares == 2:
-                out[()] = 2
+                out[a[:0]] = 2
         return out
 
 
@@ -297,7 +298,7 @@ def leading_label(ring, x, k_0: int):
     pivot: at s = 2, phi((1,)) holds (1, 1, 1) and the larger (2, 1).
     """
     if isinstance(ring, HWordRing):
-        return x + (1,) * k_0
+        return ring.pack(tuple(x) + (1,) * k_0)
     if isinstance(ring, SO3Ring):
         return x + 2 * k_0
     return x + k_0
@@ -358,11 +359,16 @@ def test_levels_match_power_sweep(family, s, k_0, levels):
     # a ring object with none of the cached ring's powers
     fresh = HWordRing(s) if family == "H+" else {"O+": SU2Ring, "S+": SO3Ring}[family]()
     oracle = helpers.power_sweep_levels(fresh, k_0, levels)
-    assert [(m.power, m.basis, m.boundary_basis) for m in mods] == oracle
+    assert [(m.power, m.basis, m.boundary_basis) for m in mods] == [
+        (power, tuple(map(fresh.pack, basis)), tuple(map(fresh.pack, boundary)))
+        for power, basis, boundary in oracle
+    ]
     beta = fresh.power(k_0)
-    for mod in mods[:-1]:
+    for mod, (_, basis, _) in zip(mods[:-1], oracle):
         # per-label products on the fresh ring, not the engine's own path
-        assert mod.psi == {x: fresh.multiply({x: 1}, beta) for x in mod.basis}
+        assert mod.psi == {
+            fresh.pack(x): helpers.packed(fresh, fresh.multiply({x: 1}, beta)) for x in basis
+        }
     assert mods[-1].psi == {}
 
 
@@ -474,9 +480,46 @@ def test_word_levels_share_one_object_per_label():
         assert all(terms.get(id(y)) is y for y in high.basis)
 
 
+@pytest.mark.parametrize("s", [2, 3])
+def test_word_ring_methods_take_level_labels(s):
+    # the levels hold bytes words; a ring of its own answers on the tuples
+    ring, plain = HWordRing(s), HWordRing(s)
+    labels = {y for mod in build_levels(ring, ring.fundamental(), s, 2) for y in mod.basis}
+    assert all(type(label) is bytes for label in labels)
+    assert max(map(len, labels)) > 1
+    for label in labels:
+        word = tuple(label)
+        assert ring.dim(label, 5) == plain.dim(word, 5)
+        assert ring.degree(label) == plain.degree(word)
+        assert ring.format_label(label) == plain.format_label(word)
+        assert ring.conjugate(label) == ring.pack(plain.conjugate(word))
+        assert phi_structure_check(ring, label) == phi_structure_check(plain, word)
+
+
+class TupleWords(HWordRing):
+    """The word ring with its levels built on tuple words."""
+
+    def pack(self, label):
+        return label
+
+
+@pytest.mark.parametrize("s,levels", [(1, 3), (2, 10), (3, 6), (4, 4)])
+def test_packed_and_tuple_levels_give_one_report(s, levels):
+    # the levels of the ktheory-words jobs, at k_0 = s
+    packed, plain = (
+        k_groups(ring, ring.fundamental(), s, levels, family="H+")
+        for ring in (HWordRing(s), TupleWords(s))
+    )
+    assert packed.to_dict() == plain.to_dict()
+    assert [tuple(map(tuple, m.basis)) for m in packed.levels] == [
+        m.basis for m in plain.levels
+    ]
+
+
 def test_word_levels_peak_memory():
     # s = 3, L = 6 peaked at 18.0 MiB traced with a new tuple per column
-    # entry, and at 13.5 MiB with one per label
+    # entry, at 13.5 MiB with one tuple per label, and at 8.6 MiB with one
+    # bytes word per label and no label -> index table in k_groups
     ring = HWordRing(3)
     tracemalloc.start()
     try:
@@ -485,7 +528,7 @@ def test_word_levels_peak_memory():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak < 15 * 2**20
+    assert peak < 10 * 2**20
 
 
 @pytest.mark.parametrize(
