@@ -118,7 +118,7 @@ def check_c2(
     ring: FusionRing, level_cap: int
 ) -> tuple[str, tuple[int, int] | None, str]:
     """Find the gap k_0 (minimal t with intersecting supports) and an N."""
-    supports = [ring.support(ell) for ell in range(level_cap + 1)]
+    supports = [ring.power(ell).keys() for ell in range(level_cap + 1)]
     k_0 = None
     for t in range(1, level_cap + 1):
         if any(

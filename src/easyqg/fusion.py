@@ -7,8 +7,9 @@ written as the letter s).  The K-theory level build stores words packed as
 arithmetic takes either type and answers in its operands' type, so a
 caller that passes tuples gets tuples back.  A fusion vector is a dict
 mapping labels to integer multiplicities with no stored zeros.  The ring
-object carries the family tag and the memoized powers and dims, so labels
-never need to; a product of two labels is computed afresh on every call.
+object carries the family tag and the memoized powers, so labels never
+need to; a product of two labels, and a dim, is computed afresh on every
+call.
 Within one call of ``times_each`` the word ring multiplies each distinct
 tail once: a product r_x r_y reads only the last |y| + 1 letters of x, and
 the rest of x is a prefix of every term, and each distinct term is one
@@ -169,9 +170,6 @@ class FusionRing:
     def power(self, exponent: int) -> dict:
         return self.vector_power(self.fundamental(), exponent)
 
-    def support(self, exponent: int) -> frozenset:
-        return frozenset(self.power(exponent))
-
     def sort_key(self, label):
         return (self._grade(label), label)
 
@@ -311,7 +309,6 @@ class HWordRing(FusionRing):
         super().__init__()
         self.s = s
         self._letters = frozenset(range(1, s + 1))
-        self._dim_cache: dict[tuple, int] = {}
 
     def trivial(self):
         return ()
@@ -382,49 +379,42 @@ class HWordRing(FusionRing):
         return letters
 
     def dim(self, label: tuple, n: int) -> int:
+        """dim r_(y+j) = dim r_y dim r_j minus the dims of the other terms of r_y r_j.
+
+        For one letter j those are y[:-1] + (y[-1] + j,) and, when j cancels
+        y[-1], y[:-1]: prefixes of the label plus one letter.  The last
+        letters each prefix needs are found from the end; row i, the dims of
+        label[:i] + (c,) by c, is then filled from row i - 1 and dim label[:i-1].
+        """
         if n < 2:
             raise InconsistentDimension("word-family dims need n >= 2")
         if self._grade(label) is None:
             raise NotReachable(f"{self.format_label(label)} lies in no power of the fundamental")
-        return self._dim(label, n)
-
-    def _dim(self, label: tuple, n: int) -> int:
-        key = (label, n)
-        cached = self._dim_cache.get(key)
-        if cached is not None:
-            return cached
-        if len(label) > 2 and (label[:-1], n) not in self._dim_cache:
-            # r_y tensor r_j adds to r_{y+j} only y[:-1] + (y[-1] + j,) and y[:-1],
-            # so the expansion reaches only prefixes of the label plus one letter:
-            # fill those in shortest first, so the recursion stays shallow.
-            tails, words = {label[-1]}, []
-            for m in range(len(label) - 1, 1, -1):
-                last = label[m - 1]
-                tails = {last} | {(last + c) % self.s or self.s for c in tails}
-                words.extend(label[: m - 1] + type(label)((c,)) for c in tails)
-            for word in reversed(words):
-                self._dim(word, n)
-        if not label:
-            value = 1
-        elif len(label) == 1:
-            value = n - 1 if label[0] == self.s else n
-        else:
-            y, j = label[:-1], label[-1:]
-            total = self._dim(y, n) * self._dim(j, n)
-            for gamma, mult in self.decompose(y, j).items():
-                if gamma == label:
-                    mult -= 1
-                if mult:
-                    # every other term is strictly smaller in (degree, length)
-                    assert (sum(gamma), len(gamma)) < (sum(label), len(label))
-                    total -= mult * self._dim(gamma, n)
-            value = total
-        if value <= 0:
-            raise InconsistentDimension(
-                f"dim {self.format_label(label)} = {value} at n={n}"
-            )
-        self._dim_cache[key] = value
-        return value
+        s, word = self.s, type(label)
+        # the last letters c whose label[:i] + (c,) the expansion reaches,
+        # from i = len(label) - 1 down to 0
+        needed = [{label[-1]}] if label else []
+        for last in reversed(label[:-1]):
+            needed.append({last} | {(last + c) % s or s for c in needed[-1]})
+        head_dim, cut_dim, row = 1, 0, {}
+        for i, tails in enumerate(reversed(needed)):
+            if i:
+                head_dim, cut_dim = row[label[i - 1]], head_dim
+            head, below, row = label[:i], row, {}
+            for c in tails:
+                value = head_dim * (n - 1 if c == s else n)
+                for gamma, mult in self.decompose(head, word((c,))).items():
+                    # i + 1 letters: the word itself; i: fused; i - 1: cancelled
+                    if len(gamma) == i:
+                        value -= mult * below[gamma[-1]]
+                    elif len(gamma) < i:
+                        value -= mult * cut_dim
+                if value <= 0:
+                    raise InconsistentDimension(
+                        f"dim {self.format_label(head + word((c,)))} = {value} at n={n}"
+                    )
+                row[c] = value
+        return row[label[-1]] if label else 1
 
 
 def get_ring(family: str, s: int | None = None) -> FusionRing:

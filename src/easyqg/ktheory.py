@@ -19,8 +19,8 @@ the connecting map: it compares labels by the ring's ``sort_key``, so it
 needs no knowledge of the family and no table over the labels.  A
 step it does not cover falls back to invariant factors of phi and psi,
 which give kernels and the cokernel but leave the connecting map
-unverified.  The full (U, D, V) Smith normal form uses the
-classical algorithm with deterministic pivoting.  Invariant factors, which
+unverified.  The full (U, D, V) Smith normal form pivots on the least
+entry of the remaining block at every pass.  Invariant factors, which
 only the uncertified steps need, come from a sparse elimination on unit
 pivots that hands what remains to it (the same factors, cross checked in
 the tests).
@@ -135,98 +135,54 @@ def bareiss_determinant(m: IntMatrix) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form (classical, with transforms).
+# Smith normal form (one pivot loop, with transforms).
 # ---------------------------------------------------------------------------
 
 
 def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Return unimodular (U, D, V) with U m V = D diagonal, d_1 | d_2 | ...
 
-    Pivot choice is deterministic: smallest absolute nonzero entry of the
-    remaining block, ties resolved in row-major order.
+    One loop per diagonal position t.  Each pass swaps the smallest absolute
+    nonzero entry of the remaining block (ties in row-major order) to (t, t)
+    and reduces column t and row t by it.  A nonzero remainder, or an entry
+    of the block that the pivot does not divide (its row is added to row t),
+    starts another pass; else the pivot is made positive.  Picking the least
+    entry anew at each pass keeps the entries of dense blocks small.
     """
     a = [row[:] for row in m.data]
     rows, cols = m.rows, m.cols
     u = IntMatrix.identity(rows).data
     v = IntMatrix.identity(cols).data
-
-    def swap_rows(i, j):
-        if i != j:
-            a[i], a[j] = a[j], a[i]
-            u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        if i != j:
-            for row in a:
-                row[i], row[j] = row[j], row[i]
-            for row in v:
-                row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, factor):
-        a[dst] = [x + factor * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + factor * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(dst, src, factor):
-        for row in a:
-            row[dst] += factor * row[src]
-        for row in v:
-            row[dst] += factor * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
     t = 0
     while True:
-        pivot = None
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                val = abs(a[i][j])
-                if val and (best is None or val < best):
-                    best = val
-                    pivot = (i, j)
+        pivot = min(((abs(x), i, j) for i in range(t, rows)
+                     for j, x in enumerate(a[i][t:], t) if x), default=None)
         if pivot is None:
             break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        while True:
-            if a[t][t] < 0:
-                negate_row(t)
-            restart = False
-            for i in range(t + 1, rows):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    add_row(i, t, -q)
-                    if a[i][t]:
-                        swap_rows(t, i)
-                        restart = True
-                        break
-            if restart:
-                continue
-            for j in range(t + 1, cols):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    add_col(j, t, -q)
-                    if a[t][j]:
-                        swap_cols(t, j)
-                        restart = True
-                        break
-            if restart:
-                continue
-            offender = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if a[i][j] % a[t][t]:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
+        _, i, j = pivot
+        a[t], a[i], u[t], u[i] = a[i], a[t], u[i], u[t]
+        for row in (*a, *v):
+            row[t], row[j] = row[j], row[t]
+        p = a[t][t]
+        for i in range(t + 1, rows):
+            if q := a[i][t] // p:
+                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+                u[i] = [x - q * y for x, y in zip(u[i], u[t])]
+        for j in range(t + 1, cols):
+            if q := a[t][j] // p:
+                for row in (*a, *v):
+                    row[j] -= q * row[t]
+        if any(a[i][t] for i in range(t + 1, rows)) or any(a[t][t + 1:]):
+            continue
+        for i in range(t + 1, rows):
+            if any(x % p for x in a[i][t + 1:]):
+                a[t] = [x + y for x, y in zip(a[t], a[i])]
+                u[t] = [x + y for x, y in zip(u[t], u[i])]
                 break
-            add_row(t, offender, 1)
-        t += 1
-
+        else:
+            if p < 0:
+                a[t], u[t] = [-x for x in a[t]], [-x for x in u[t]]
+            t += 1
     return IntMatrix(u), IntMatrix(a, rows, cols), IntMatrix(v)
 
 
@@ -546,10 +502,10 @@ def k_groups(
 ) -> InductiveLimitReport:
     """Run the inductive system up to R_(N + levels * k_0) and collect K-data.
 
-    K_1 is the (stable) kernel rank of the phi maps; K_0 stabilizes when
-    two consecutive cokernels agree and the connecting maps act as the
-    identity on the persisting classes, which the certificate verifies
-    rather than assumes.
+    K_1 is the kernel rank of the phi maps once two consecutive steps agree
+    on it; K_0 stabilizes when two consecutive cokernels agree and the
+    connecting maps act as the identity on the persisting classes, which
+    the certificate verifies rather than assumes.  One step settles neither.
     """
     if levels < 1:
         raise PreconditionError("need at least one level step")
@@ -564,13 +520,12 @@ def k_groups(
         else:
             steps.append(_snf_step(src, dst))
 
-    ranks = [s.ker_rank_phi for s in steps]
-    k1 = ranks[-1] if len(set(ranks[-2:])) == 1 else None
-
     stabilized = False
-    k0 = None
+    k0 = k1 = None
     if len(steps) >= 2:
         last, prev = steps[-1], steps[-2]
+        if last.ker_rank_phi == prev.ker_rank_phi:
+            k1 = last.ker_rank_phi
         if (
             last.coker == prev.coker
             and last.identity_on_persisting

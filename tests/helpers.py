@@ -15,16 +15,20 @@ from easyqg import (
     BLACK,
     ColoredPartition,
     InconsistentDimension,
+    IntMatrix,
     WHITE,
+    bareiss_determinant,
     color_counts,
     compose,
     family_category,
+    invariant_factors,
     involute,
     is_noncrossing,
     rotate,
     t_map,
     tensor,
 )
+from easyqg import ktheory
 from easyqg.partitions import BASE_PARTITIONS, COLORS, CORNERS
 from easyqg.tmaps import IntRowReducer
 
@@ -269,7 +273,7 @@ def chain_group_oracle(ring, cap: int) -> int | None:
     counts the groups of labels; None when no power 1..cap ends in the group
     of power 0.
     """
-    groups = [(set(ring.support(e)), {e}) for e in range(cap + 1)]
+    groups = [(set(ring.power(e)), {e}) for e in range(cap + 1)]
     merged = True
     while merged:
         merged = False
@@ -381,3 +385,44 @@ def determinantal_divisors(data: list[list[int]]) -> list[int]:
         if g == 0:
             break
     return out
+
+
+def sparse_remainder_check(seed: int) -> None:
+    """Invariant factors of a sparse 120 x 120 matrix, three entries a row.
+
+    The factors must equal those of the transpose.  Each dense remainder
+    that ``invariant_factors`` hands to ``smith_normal_form`` must come back
+    with U m V = D, U and V unimodular, and D diagonal with a positive
+    divisibility chain.
+    """
+    rng = Random(seed)
+    entries = {}
+    for r in range(120):
+        for c in rng.sample(range(120), 3):
+            entries[r, c] = rng.choice((1, -1, 2, 3))
+    remainders = []
+    snf = ktheory.smith_normal_form
+
+    def spy(m: IntMatrix):
+        out = snf(m)
+        remainders.append((m, out))
+        return out
+
+    ktheory.smith_normal_form = spy
+    try:
+        factors = invariant_factors(entries)
+        transposed = invariant_factors({(c, r): v for (r, c), v in entries.items()})
+    finally:
+        ktheory.smith_normal_form = snf
+    assert factors == transposed, seed
+    assert remainders and min(m.rows for m, _ in remainders) >= 20, seed
+    for m, (u, d, v) in remainders:
+        assert (u @ m) @ v == d, seed
+        assert abs(bareiss_determinant(u)) == abs(bareiss_determinant(v)) == 1, seed
+        diag = d.diagonal()
+        chain = [x for x in diag if x]
+        assert diag == chain + [0] * (len(diag) - len(chain)), seed
+        assert d == IntMatrix([[diag[i] if i == j else 0 for j in range(d.cols)]
+                               for i in range(d.rows)], d.rows, d.cols), seed
+        assert all(x > 0 for x in chain), seed
+        assert all(b % a == 0 for a, b in zip(chain, chain[1:])), seed

@@ -64,7 +64,7 @@ def test_check_c2_witness_recheckable():
     assert all(big.get(label, 0) >= mult for label, mult in small.items())
     for t in range(1, k_0):
         for ell in range(8):
-            assert not (ring.support(ell) & ring.support(ell + t))
+            assert not (ring.power(ell).keys() & ring.power(ell + t).keys())
 
 
 def test_check_c2_capped_gap_search_undetermined():

@@ -149,3 +149,15 @@ def test_src_raises_no_bare_value_error():
                 if isinstance(exc, ast.Name) and exc.id == "ValueError":
                     offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_src_holds_no_assert():
+    # python -O strips assert statements, so a check in src must raise a
+    # typed error instead
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(easyqg.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert offenders == []
