@@ -11,24 +11,28 @@ then reads K_1 off kernel ranks and K_0 off cokernels with the connecting
 maps induced by psi.  It runs in one pass on labels packed by the ring
 (``pack``: bytes for words): each level multiplies its basis by beta once,
 and as multiplicities are positive the supports of these psi columns form
-the next basis, sorted by the ring's order (``in_order``); each boundary is
-the trailing run of its basis whose ``degree`` is the level's power, found
-by bisection, and phi = psi minus the inclusion.  An O(nnz) certificate
-that [phi | e_complement] is unitriangular settles kernels, cokernels and
-the connecting map: it compares labels by the ring's ``sort_key``, so it
-needs no knowledge of the family and no table over the labels.  A
-step it does not cover falls back to invariant factors of phi and psi,
-which give kernels and the cokernel but leave the connecting map
-unverified.  The full (U, D, V) Smith normal form pivots on the least
-entry of the remaining block at every pass.  Invariant factors, which
-only the uncertified steps need, come from a sparse elimination on unit
-pivots that hands what remains to it (the same factors, cross checked in
-the tests).
+the next basis, their terms sorted by the ring's order (``in_order``) with
+repeats dropped; each boundary is the trailing run of its basis whose
+``degree`` is the level's power, found by bisection, and phi = psi minus
+the inclusion.  An O(nnz) certificate that [phi | e_complement] is
+unitriangular, run on each level's columns in the same pass, settles
+kernels, cokernels and the connecting map: it compares labels by the
+ring's ``sort_key``, so it needs no knowledge of the family and no table
+over the labels.  The last step, the largest, makes its columns in chunks
+and keeps only those the diagram check reads.  A step the certificate
+does not cover falls back to invariant factors of phi and psi (the last
+step makes its columns again), which give kernels and the cokernel but
+leave the connecting map unverified.  The full (U, D, V) Smith normal
+form pivots on the least entry of the remaining block at every pass.
+Invariant factors, which only the uncertified steps need, come from a
+sparse elimination on unit pivots that hands what remains to it (the
+same factors, cross checked in the tests).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import groupby
 from operator import index
 from typing import Sequence
 
@@ -143,8 +147,9 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Return unimodular (U, D, V) with U m V = D diagonal, d_1 | d_2 | ...
 
     One loop per diagonal position t.  Each pass swaps the smallest absolute
-    nonzero entry of the remaining block (ties in row-major order) to (t, t)
-    and reduces column t and row t by it.  A nonzero remainder, or an entry
+    nonzero entry of the remaining block (the first in row-major order, by
+    one scan that stops after a row holding a unit) to (t, t) and reduces
+    column t and row t by it.  A nonzero remainder, or an entry
     of the block that the pivot does not divide (its row is added to row t),
     starts another pass; else the pivot is made positive.  Picking the least
     entry anew at each pass keeps the entries of dense blocks small.
@@ -155,11 +160,17 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     v = IntMatrix.identity(cols).data
     t = 0
     while True:
-        pivot = min(((abs(x), i, j) for i in range(t, rows)
-                     for j, x in enumerate(a[i][t:], t) if x), default=None)
-        if pivot is None:
+        least = 0
+        for r in range(t, rows):
+            row = a[r]
+            for c in range(t, cols):
+                x = row[c]
+                if x and (not least or abs(x) < least):
+                    least, i, j = abs(x), r, c
+            if least == 1:
+                break
+        if not least:
             break
-        _, i, j = pivot
         a[t], a[i], u[t], u[i] = a[i], a[t], u[i], u[t]
         for row in (*a, *v):
             row[t], row[j] = row[j], row[t]
@@ -303,18 +314,61 @@ class FGAbelianGroup(FrozenRecord):
 
 class LevelModule(FrozenRecord):
     """R_ell on ``basis``, the support of u^power in the ring's order, whose
-    ``boundary_basis`` is its labels of degree ``power``.  ``psi`` maps each
-    basis label x to x beta, empty on the top level.  ``psi`` is not
-    compared: equal modules may differ in it."""
+    ``boundary_basis`` is its labels of degree ``power``.  ``psi`` maps
+    basis labels x to x beta: all of them below the last two levels, on the
+    last level but one only the labels of the level below (the columns
+    ``check_diagram_commutes`` reads), and none on the top level.
+    ``certified`` says whether ``_unitriangular`` certifies the step from
+    this level (``None`` on the top level).  Neither is compared: equal
+    modules may differ in them."""
 
     _fields = ("level", "power", "basis", "boundary_basis")
-    __slots__ = (*_fields, "psi")
-    _defaults = {"psi": {}}
+    __slots__ = (*_fields, "psi", "certified")
+    _defaults = {"psi": {}, "certified": None}
 
 
-def _support(psi: dict) -> set:
-    """The labels of the psi columns: supp u^(a+k_0) when x runs over supp u^a."""
-    return {y for col in psi.values() for y in col}
+# labels of the last level but one per ``times_each`` call in the last step
+_CHUNK = 512
+
+
+def _support(ring: FusionRing, terms: list) -> tuple:
+    """The labels among ``terms``, in the ring's order and each once:
+    supp u^(a+k_0) when the terms are those of psi(x) over x in supp u^a.
+    Sorting keeps the repeats next to each other, so no set is built."""
+    return tuple(y for y, _ in groupby(ring.in_order(terms)))
+
+
+def _packed_power(ring: FusionRing, fundamental: dict, k_0: int) -> dict:
+    """beta = u^(k_0) on labels packed by the ring (bytes words).  Every
+    product keeps its operands' type, so packing beta and u^N packs the
+    levels."""
+    return {ring.pack(y): m for y, m in ring.vector_power(fundamental, k_0).items()}
+
+
+def _step(ring: FusionRing, basis: tuple, beta: dict, keep: set | None = None) -> tuple:
+    """One pass over the columns psi(x) = x beta of a level.
+
+    Returns the columns, the next basis (their support) and whether
+    ``_unitriangular`` certifies the step.  With ``keep``, a set of labels,
+    the columns are made ``_CHUNK`` labels at a time, each chunk read once
+    for the support and the certificate, and only those of ``keep`` are
+    returned.  Otherwise one ``times_each`` call makes them all, so equal
+    terms of different columns are one object.
+    """
+    size = (len(basis) or 1) if keep is None else _CHUNK
+    psi, terms, pivots, certified = {}, [], set(), True
+    for i in range(0, len(basis), size):
+        chunk = ring.times_each(basis[i:i + size], beta)
+        # times_each hands out one object per distinct term of a chunk
+        terms.extend(dict.fromkeys(y for col in chunk.values() for y in col))
+        certified = certified and _unitriangular(chunk, ring.sort_key, pivots)
+        if keep is None:
+            psi = chunk  # the only chunk
+        else:
+            psi.update((x, col) for x, col in chunk.items() if x in keep)
+        del chunk  # before the next one is made
+    del pivots  # before the terms are sorted
+    return psi, _support(ring, terms), certified
 
 
 def build_levels(
@@ -328,57 +382,63 @@ def build_levels(
     A boundary is the labels of degree exactly the level's power: no label
     of supp u^power has a larger degree (``degree`` of the last label checks
     it), and the order sorts by degree first, so the boundary is the
-    trailing run of the basis, found by bisecting on ``degree``.
+    trailing run of the basis, found by bisecting on ``degree``.  Each
+    level's columns are made in one ``_step``, which also certifies the
+    step; the last step, whose columns outnumber all others, streams them
+    in chunks and keeps only the ones ``check_diagram_commutes`` reads.
     """
     if k_0 < 1:
         raise PreconditionError("k_0 must be >= 1")
     if levels < 0:
         raise PreconditionError("levels must be >= 0")
-    # the levels hold labels packed by the ring (bytes words), and every
-    # product keeps its operands' type, so packing beta and u^N packs them all
-    beta = {ring.pack(y): m for y, m in ring.vector_power(fundamental, k_0).items()}
+    beta = _packed_power(ring, fundamental, k_0)
     for start in range(DEFAULT_LEVEL_CAP + 1):
         basis = tuple(ring.in_order(map(ring.pack, ring.vector_power(fundamental, start))))
-        psi = ring.times_each(basis, beta)
-        if _support(psi).issuperset(basis):
+        psi, support, certified = _step(ring, basis, beta)
+        if set(basis).issubset(support):
             break
     else:
         raise NotReachable(
             f"u^N is not contained in u^(N+{k_0}) for any N <= {DEFAULT_LEVEL_CAP}"
         )
 
-    def level(ell: int, basis: tuple, psi: dict) -> LevelModule:
+    def level(ell: int, basis: tuple, psi: dict, certified) -> LevelModule:
         power = start + ell * k_0
         if basis:
             ring.degree(basis[-1], power)  # NotReachable past the power
         cut = bisect_left(basis, power, key=lambda y: ring.degree(y, power))
-        return LevelModule(ell, power, basis, basis[cut:], psi)
+        return LevelModule(ell, power, basis, basis[cut:], psi, certified)
 
     out = []
     for ell in range(levels):
-        out.append(level(ell, basis, psi))
-        basis = tuple(ring.in_order(_support(psi)))
-        # psi(x) = x beta, computed afresh at each level, so the diagram
-        # check compares products made separately
-        psi = ring.times_each(basis, beta) if ell + 1 < levels else {}
-    out.append(level(levels, basis, {}))
+        out.append(level(ell, basis, psi, certified))
+        basis = support
+        if ell + 1 < levels:
+            # psi(x) = x beta, computed afresh at each level, so the diagram
+            # check compares products made separately; of the last step it
+            # reads only the columns of the labels of level ell
+            keep = set(out[-1].basis) if ell + 2 == levels else None
+            psi, support, certified = _step(ring, basis, beta, keep)
+    out.append(level(levels, basis, {}, None))
     return out
 
 
-def _unitriangular(psi: dict, key) -> bool:
+def _unitriangular(psi: dict, key, pivots: set) -> bool:
     """Certificate that [phi | e_complement] is unitriangular, in O(nnz).
 
     The pivot of column x is the largest label of psi(x) in the ring's
-    order, its ``sort_key`` (``key``).  The certificate holds when every
-    pivot lies above x, has coefficient 1 and is no other column's pivot.
-    phi(x) = psi(x) - x then has the same pivot and coefficient, and
-    sorting the columns by pivot makes phi, psi and [phi | e_complement]
-    triangular with unit diagonal, so ker phi = ker psi = 0, coker phi is
-    free on the labels that are no pivot, and psi induces the identity on
-    the persisting classes.
+    order, its ``sort_key`` (``key``).  The certificate holds when no
+    column is zero and every pivot lies above x, has coefficient 1 and is
+    no other column's pivot.  phi(x) = psi(x) - x then has the same pivot
+    and coefficient, and sorting the columns by pivot makes phi, psi and
+    [phi | e_complement] triangular with unit diagonal, so ker phi = ker
+    psi = 0, coker phi is free on the labels that are no pivot, and psi
+    induces the identity on the persisting classes.  ``pivots`` holds the pivots of the columns
+    read before, when they come in chunks, and gains those of ``psi``.
     """
-    pivots = set()
     for x, col in psi.items():
+        if not col:
+            return False
         pivot = max(col, key=key)
         if key(pivot) <= key(x) or col[pivot] != 1 or pivot in pivots:
             return False
@@ -386,17 +446,22 @@ def _unitriangular(psi: dict, key) -> bool:
     return True
 
 
-def _snf_step(src: LevelModule, dst: LevelModule) -> "StepReport":
+def _snf_step(ring: FusionRing, beta: dict, src: LevelModule,
+              dst: LevelModule) -> "StepReport":
     """An uncertified step: kernels and cokernel from invariant factors.
 
     Without the certificate no complement is known, so the connecting map
-    is left unverified.
+    is left unverified.  The last step kept only some of its columns, so
+    then all of them are made again.
     """
+    psi = src.psi
+    if len(psi) < len(src.basis):
+        psi = ring.times_each(src.basis, beta)
     pos = {label: i for i, label in enumerate(dst.basis)}
     psi_entries = {
         (pos[y], j): mult
         for j, x in enumerate(src.basis)
-        for y, mult in src.psi[x].items()
+        for y, mult in psi[x].items()
     }
     phi_entries = dict(psi_entries)
     for j, x in enumerate(src.basis):
@@ -512,13 +577,14 @@ def k_groups(
     mods = build_levels(ring, fundamental, k_0, levels)
     steps: list[StepReport] = []
     for src, dst in zip(mods, mods[1:]):
-        if _unitriangular(src.psi, ring.sort_key):
+        if src.certified:
             free = len(dst.basis) - len(src.basis)
             steps.append(StepReport(
                 src.level, dst.level, 0, 0, FGAbelianGroup(free), free, True, True
             ))
         else:
-            steps.append(_snf_step(src, dst))
+            beta = _packed_power(ring, fundamental, k_0)
+            steps.append(_snf_step(ring, beta, src, dst))
 
     stabilized = False
     k0 = k1 = None

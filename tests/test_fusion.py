@@ -457,7 +457,9 @@ def test_hword_dim_of_a_long_word():
 def test_hword_dim_of_a_long_word_keeps_only_its_dims():
     # the dims are filled in row by row and dropped with the call, so the
     # ring keeps nothing of them
-    word = tuple(Random(0).choice((1, 2, 3)) for _ in range(1200))
+    rng = Random(0)
+    word = tuple(rng.choice((1, 2, 3)) for _ in range(1200))
+    assert set(word) == {1, 2, 3}
     ring = HWordRing(3)
     tracemalloc.start()
     try:

@@ -382,21 +382,29 @@ def test_engine_matches_snf_oracle(family, s, k_0, levels):
      ("H+", 3, 3, 3), ("H+", 4, 4, 3)],
 )
 def test_levels_match_power_sweep(family, s, k_0, levels):
+    # one level more than the psi checked whole: the last step keeps only
+    # the columns of the labels one level down
     ring = get_ring(family, s)
-    mods = build_levels(ring, ring.fundamental(), k_0, levels)
+    mods = build_levels(ring, ring.fundamental(), k_0, levels + 1)
     # a ring object with none of the cached ring's powers
     fresh = HWordRing(s) if family == "H+" else {"O+": SU2Ring, "S+": SO3Ring}[family]()
-    oracle = helpers.power_sweep_levels(fresh, k_0, levels)
+    oracle = helpers.power_sweep_levels(fresh, k_0, levels + 1)
     assert [(m.power, m.basis, m.boundary_basis) for m in mods] == [
         (power, tuple(map(fresh.pack, basis)), tuple(map(fresh.pack, boundary)))
         for power, basis, boundary in oracle
     ]
     beta = fresh.power(k_0)
-    for mod, (_, basis, _) in zip(mods[:-1], oracle):
+
+    def columns(basis, keep=None):
         # per-label products on the fresh ring, not the engine's own path
-        assert mod.psi == {
-            fresh.pack(x): helpers.packed(fresh, fresh.multiply({x: 1}, beta)) for x in basis
+        return {
+            fresh.pack(x): helpers.packed(fresh, fresh.multiply({x: 1}, beta))
+            for x in basis if keep is None or fresh.pack(x) in keep
         }
+
+    for mod, (_, basis, _) in zip(mods[:-2], oracle):
+        assert mod.psi == columns(basis)
+    assert mods[-2].psi == columns(oracle[-2][1], set(mods[-3].basis))
     assert mods[-1].psi == {}
 
 
@@ -435,6 +443,13 @@ def test_engine_falls_back_when_beta_is_the_unit():
         assert step.coker == FGAbelianGroup(1)
         assert not step.identity_on_persisting
     assert report.k1_rank == 1 and not report.k0_stabilized
+
+
+def test_a_zero_fundamental_gives_empty_levels():
+    # u = 0: the start search stops at u^1 = 0 after a zero column at u^0
+    report = k_groups(SU2Ring(), {}, 1, 2)
+    assert [m.basis for m in report.levels] == [(), (), ()]
+    assert report.k0 == FGAbelianGroup(0) and report.k1_rank == 0
 
 
 class TwinStepLadder(SU2Ring):
@@ -499,12 +514,13 @@ def test_bisected_boundary_is_the_trailing_run(make_ring, k_0, levels):
 
 def test_word_levels_share_one_object_per_label():
     # times_each hands out one object per distinct word, and the next basis
-    # is made of those same objects
+    # is made of those same objects (on the levels whose psi is kept whole,
+    # all but the last two)
     ring = HWordRing(3)
-    mods = build_levels(ring, ring.fundamental(), 3, 5)
-    for low, high in zip(mods, mods[1:]):
+    mods = build_levels(ring, ring.fundamental(), 3, 6)
+    for low, high in zip(mods[:-2], mods[1:-1]):
         terms = {id(y): y for col in low.psi.values() for y in col}
-        assert len(terms) == len(ktheory._support(low.psi))
+        assert len(terms) == len({y for col in low.psi.values() for y in col})
         assert all(terms.get(id(y)) is y for y in high.basis)
 
 
@@ -546,8 +562,10 @@ def test_packed_and_tuple_levels_give_one_report(s, levels):
 
 def test_word_levels_peak_memory():
     # s = 3, L = 6 peaked at 18.0 MiB traced with a new tuple per column
-    # entry, at 13.5 MiB with one tuple per label, and at 8.6 MiB with one
-    # bytes word per label and no label -> index table in k_groups
+    # entry, at 13.5 MiB with one tuple per label, at 8.6 MiB with one
+    # bytes word per label and no label -> index table in k_groups, and at
+    # 4.9 MiB with the last step's columns made in chunks, kept only where
+    # the diagram check reads them, and the top basis sorted without a set
     ring = HWordRing(3)
     tracemalloc.start()
     try:
@@ -556,7 +574,7 @@ def test_word_levels_peak_memory():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak < 10 * 2**20
+    assert peak < 6 * 2**20
 
 
 @pytest.mark.parametrize(
@@ -577,6 +595,32 @@ def test_shipped_runs_are_certified(monkeypatch, family, s, k_0, levels):
         step.identity_on_persisting and step.coker_rank_matches_complement
         for step in report.steps
     )
+
+
+@pytest.mark.parametrize("chunk", [None, 2], ids=["default-chunk", "chunk-2"])
+@pytest.mark.parametrize(
+    "make_ring,fundamental,k_0,levels,certified",
+    [(SU2Ring, None, 2, 40, True), (SO3Ring, None, 1, 40, True)]
+    + [(partial(HWordRing, s), None, s, levels, True)
+       for s, levels in ((1, 3), (2, 10), (3, 6), (4, 4))]
+    + [(DoubledTopLadder, None, 2, 2, False), (TwinStepLadder, None, 1, 3, False),
+       (SU2Ring, {0: 1}, 1, 2, False)],
+    ids=["O+", "S+", "H+1", "H+2", "H+3", "H+4", "doubled-top", "twin-step", "beta-unit"],
+)
+def test_streamed_certificate_matches_the_whole_top_step(
+    monkeypatch, chunk, make_ring, fundamental, k_0, levels, certified
+):
+    # the last step's certificate is read off its columns chunk by chunk;
+    # on a fresh ring, all its columns at once must give the same answer
+    if chunk is not None:
+        monkeypatch.setattr(ktheory, "_CHUNK", chunk)
+    ring, fresh = make_ring(), make_ring()
+    fundamental = fundamental or ring.fundamental()
+    mods = build_levels(ring, fundamental, k_0, levels)
+    beta = helpers.packed(fresh, fresh.vector_power(fundamental, k_0))
+    top = fresh.times_each(mods[-2].basis, beta)
+    assert mods[-2].certified is ktheory._unitriangular(top, fresh.sort_key, set()) is certified
+    assert mods[-2].psi.keys() == set(mods[-3].basis)
 
 
 def test_k_groups_h1_starts_where_levels_nest():

@@ -88,8 +88,8 @@ def test_record_constructor_binds_keywords_like_positions():
                  "multiple values for argument 'k'", id="Record-given-twice"),
     pytest.param(lambda: CPVerdicts(cp1=FAILS),
                  "missing argument 'k'", id="Record-missing"),
-    pytest.param(lambda: LevelModule(0, 2, (), (), {}, None),
-                 "takes 5 arguments", id="FrozenRecord-too-many"),
+    pytest.param(lambda: LevelModule(0, 2, (), (), {}, None, None),
+                 "takes 6 arguments", id="FrozenRecord-too-many"),
     pytest.param(lambda: LevelModule(0, 2, (), (), flavour=1),
                  "unexpected keyword argument 'flavour'", id="FrozenRecord-unknown-keyword"),
     pytest.param(lambda: LevelModule(0, 2, (), (), power=2),
